@@ -16,6 +16,7 @@ import os
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -62,9 +63,6 @@ def _parse_range(text: str, field: str, problems: list) -> list:
         problems.append((field, "indices must be nonnegative, got %r" % text))
         return []
     return list(range(lo, hi + 1))
-
-
-_GLOBAL_FLAGS = ("a", "b", "c", "beta", "D", "mu", "hbar", "format", "out")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -165,28 +163,57 @@ def _merge_config(args: argparse.Namespace, problems: list) -> dict:
             continue
         if value is not None:
             merged[key] = value
+    if merged.get("format", "csv") not in ("csv", "json"):
+        problems.append(("format", "must be csv or json, got %r" % (merged["format"],)))
     return merged
 
 
+def _number(cfg: dict, key: str, default: float, problems: list) -> float:
+    """A finite float from the config; on a problem, record it and return the default."""
+    value = cfg.get(key, default)
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = float(value)
+    except (TypeError, ValueError):
+        problems.append((key, "must be a number, got %r" % (value,)))
+        return default
+    if not math.isfinite(number):
+        problems.append((key, "must be finite, got %r" % (value,)))
+        return default
+    return number
+
+
+def _integer(cfg: dict, key: str, default: int, problems: list) -> int:
+    """An integer from the config (an int, an integral float or a decimal string)."""
+    value = cfg.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    problems.append((key, "must be an integer, got %r" % (value,)))
+    return default
+
+
 def _physics(cfg: dict, problems: list):
-    a = float(cfg.get("a", 1.0))
-    b = float(cfg.get("b", 0.0))
-    c = float(cfg.get("c", 0.0))
-    beta = float(cfg.get("beta", 0.0))
-    D = cfg.get("D", 3)
-    mu = float(cfg.get("mu", 1.0))
-    hbar = float(cfg.get("hbar", 1.0))
+    a = _number(cfg, "a", 1.0, problems)
+    b = _number(cfg, "b", 0.0, problems)
+    c = _number(cfg, "c", 0.0, problems)
+    beta = _number(cfg, "beta", 0.0, problems)
+    D = _integer(cfg, "D", 3, problems)
+    mu = _number(cfg, "mu", 1.0, problems)
+    hbar = _number(cfg, "hbar", 1.0, problems)
     if a <= 0:
         problems.append(("a", "must be positive for bound states, got %r" % a))
     if b < 0:
         problems.append(("b", "must be nonnegative, got %r" % b))
     if beta < 0:
         problems.append(("beta", "must be nonnegative, got %r" % beta))
-    try:
-        D = int(D)
-    except (TypeError, ValueError):
-        problems.append(("D", "must be an integer, got %r" % D))
-        D = 3
     if D < 2:
         problems.append(("D", "must be at least 2, got %r" % D))
         D = 3
@@ -212,18 +239,57 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _csv_table(meta: dict, columns: list, rows: list) -> str:
-    lines = []
-    for key, value in meta.items():
-        lines.append("# %s=%s" % (key, _fmt(value)))
+def _json_value(value) -> str:
+    """One scalar exactly as ``json.dumps`` renders it."""
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError("cannot render %r as a JSON table value" % (value,))
+
+
+def _json_row_template(columns) -> str:
+    """``%`` template of one row object at the nesting depth of ``_frame``."""
+    fields = ",\n".join("      %s: %%s" % encode_basestring_ascii(col) for col in columns)
+    return "    {\n" + fields + "\n    }"
+
+
+def _frame(fmt: str, meta: dict, columns, body: list, key: str = "rows") -> str:
+    """Wrap rendered rows in the table's header: CSV, or JSON ``{"meta", key}``.
+
+    The JSON layout is that of ``json.dumps({"meta": meta, key: rows}, indent=2)``,
+    whose rows ``_json_row_template`` renders one at a time.
+    """
+    if fmt == "json":
+        head = ('{\n  "meta": ' + json.dumps(meta, indent=2).replace("\n", "\n  ")
+                + ",\n  " + encode_basestring_ascii(key) + ": ")
+        if not body:
+            return head + "[]\n}\n"
+        return head + "[\n" + ",\n".join(body) + "\n  ]\n}\n"
+    lines = ["# %s=%s" % (name, _fmt(value)) for name, value in meta.items()]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in columns))
+    lines.extend(body)
     return "\n".join(lines) + "\n"
 
 
-def _json_table(meta: dict, rows: list) -> str:
-    return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+def _table(fmt: str, meta: dict, columns, rows, key: str = "rows") -> str:
+    """Render tuple rows, one value per column, as CSV or JSON."""
+    if fmt == "json":
+        template = _json_row_template(columns)
+        body = [template % tuple(map(_json_value, row)) for row in rows]
+    else:
+        body = [",".join(map(_fmt, row)) for row in rows]
+    return _frame(fmt, meta, columns, body, key)
 
 
 # ---------------------------------------------------------------------------
@@ -248,24 +314,18 @@ def _cmd_spectrum(cfg: dict, problems: list) -> int:
         try:
             entry = spectrum.energy(params, consts, q)
         except spectrum.FallToCenter:
-            rows.append({"N": N, "n": n, "m": m, "m_prime": None,
-                         "ell_prime": None, "L": None, "N_prime": None,
-                         "epsilon": None, "E": None, "status": "fall-to-center"})
+            rows.append((N, n, m, None, None, None, None, None, None, "fall-to-center"))
             continue
         eff = entry.eff
-        rows.append({"N": N, "n": n, "m": m, "m_prime": eff.m_prime,
-                     "ell_prime": eff.ell_prime, "L": eff.L,
-                     "N_prime": eff.N_prime, "epsilon": entry.epsilon,
-                     "E": entry.E, "status": "ok"})
-    rows.sort(key=lambda r: (r["E"] is None, r["E"] if r["E"] is not None else 0.0,
-                             r["N"], r["n"], r["m"]))
+        rows.append((N, n, m, eff.m_prime, eff.ell_prime, eff.L, eff.N_prime,
+                     entry.epsilon, entry.E, "ok"))
+    # by E, with fall-to-center rows (E is None) last
+    rows.sort(key=lambda r: (r[8] is None, r[8] if r[8] is not None else 0.0,
+                             r[0], r[1], r[2]))
 
     meta = {"command": "spectrum", **meta_phys,
             "N": cfg.get("N", "0"), "n": cfg.get("n", "0"), "m": cfg.get("m", "0")}
-    if cfg.get("format", "csv") == "json":
-        _emit(_json_table(meta, rows), cfg.get("out"))
-    else:
-        _emit(_csv_table(meta, _SPECTRUM_COLUMNS, rows), cfg.get("out"))
+    _emit(_table(cfg.get("format", "csv"), meta, _SPECTRUM_COLUMNS, rows), cfg.get("out"))
     return 0
 
 
@@ -286,18 +346,22 @@ def _cmd_wavefunction(cfg: dict, problems: list) -> int:
     N = _single_index(cfg, "N", problems)
     n = _single_index(cfg, "n", problems)
     m = _single_index(cfg, "m", problems)
-    nr = int(cfg.get("nr", 100))
-    ntheta = int(cfg.get("ntheta", 50))
+    nr = _integer(cfg, "nr", 100, problems)
+    ntheta = _integer(cfg, "ntheta", 50, problems)
     if nr < 2:
         problems.append(("nr", "need at least 2 radial samples"))
     if ntheta < 2:
         problems.append(("ntheta", "need at least 2 polar samples"))
+    r_max = None
+    if cfg.get("r_max") is not None:
+        r_max = _number(cfg, "r_max", 1.0, problems)
+        if r_max <= 0:
+            problems.append(("r_max", "must be positive, got %r" % r_max))
     if problems:
         raise ConfigError(problems)
 
     state = wavefunctions.bound_state(params, consts,
                                       spectrum.QuantumNumbers(N=N, n=n, m=m))
-    r_max = cfg.get("r_max")
     if r_max is None:
         power = 2.0 * state.radial.L + 2.0 + 2.0 * N
         r_max = decay_cutoff(power, 2.0 * state.radial.epsilon, drop=1e-12)
@@ -314,15 +378,24 @@ def _cmd_wavefunction(cfg: dict, problems: list) -> int:
             "angular_norm_adjusted": str(state.angular.adjusted).lower(),
             "nr": nr, "ntheta": ntheta, "r_max": r_max,
             "density": "abs(psi)^2 * r^(D-1) * sin(theta)"}
-    rows = []
-    for r in r_grid:
-        dens = state.density(float(r), theta_grid)
-        for theta, d in zip(theta_grid, dens):
-            rows.append({"r": float(r), "theta": float(theta), "density": float(d)})
-    if cfg.get("format", "csv") == "json":
-        _emit(_json_table(meta, rows), cfg.get("out"))
+    density = state.density(r_grid[:, None], theta_grid[None, :]).tolist()
+    columns = ["r", "theta", "density"]
+    fmt = cfg.get("format", "csv")
+    if fmt == "json":
+        theta_list = theta_grid.tolist()
+        text = _table(fmt, meta, columns,
+                      [(r, theta, d) for r, row in zip(r_grid.tolist(), density)
+                       for theta, d in zip(theta_list, row)])
     else:
-        _emit(_csv_table(meta, ["r", "theta", "density"], rows), cfg.get("out"))
+        # both axes are finite floats, formatted once each; only the density is
+        # formatted per sample (about 3x the samples/s of _table on density_grid)
+        r_cells = [repr(r) for r in r_grid.tolist()]
+        theta_cells = [repr(theta) for theta in theta_grid.tolist()]
+        text = _frame(fmt, meta, columns,
+                      [r + "," + theta + "," + repr(d)
+                       for r, row in zip(r_cells, density)
+                       for theta, d in zip(theta_cells, row)])
+    _emit(text, cfg.get("out"))
     return 0
 
 
@@ -330,18 +403,27 @@ def _cmd_wavefunction(cfg: dict, problems: list) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+_VERIFY_COLUMNS = ["name", "status", "value", "target", "tolerance", "error_estimate"]
+
+
 def _cmd_verify(cfg: dict, problems: list) -> int:
     params, consts, meta_phys = _physics(cfg, problems)
     N_range = _parse_range(cfg.get("N", "0"), "N", problems)
     n_range = _parse_range(cfg.get("n", "0"), "n", problems)
     m_range = _parse_range(cfg.get("m", "0"), "m", problems)
     tol = oracle.VerifyTolerances(
-        energy_rel=float(cfg.get("tol_energy", 1e-4)),
-        lambda_abs=float(cfg.get("tol_lambda", 1e-4)),
-        residual_rel=float(cfg.get("tol_residual", 1e-6)))
-    n_points = int(cfg.get("points", 1500))
-    levels = int(cfg.get("levels", 3))
-    offset = float(cfg.get("perturb_energy", 0.0))
+        energy_rel=_number(cfg, "tol_energy", 1e-4, problems),
+        lambda_abs=_number(cfg, "tol_lambda", 1e-4, problems),
+        residual_rel=_number(cfg, "tol_residual", 1e-6, problems))
+    n_points = _integer(cfg, "points", 1500, problems)
+    levels = _integer(cfg, "levels", 3, problems)
+    offset = _number(cfg, "perturb_energy", 0.0, problems)
+    if n_points < oracle.MIN_POINTS:
+        problems.append(("points", "must be at least %d, got %r"
+                         % (oracle.MIN_POINTS, n_points)))
+    if levels < oracle.MIN_LEVELS:
+        problems.append(("levels", "must be at least %d, got %r"
+                         % (oracle.MIN_LEVELS, levels)))
     if problems:
         raise ConfigError(problems)
 
@@ -361,26 +443,18 @@ def _cmd_verify(cfg: dict, problems: list) -> int:
         results = [run(q) for q in states]
     results.sort(key=lambda item: (item[0].N, item[0].n, item[0].m))
 
-    checks = []
-    for q, report in results:
-        tag = "N%d_n%d_m%d" % (q.N, q.n, q.m)
-        for check in report.checks:
-            entry = check.as_dict()
-            entry["name"] = "%s.%s" % (tag, entry["name"])
-            checks.append(entry)
-    all_passed = all(c["status"] == "pass" for c in checks)
+    checks = [("N%d_n%d_m%d.%s" % (q.N, q.n, q.m, c.name), c.status, c.value,
+               c.target, c.tolerance, c.error_estimate)
+              for q, report in results for c in report.checks]
+    all_passed = all(report.passed for _, report in results)
     meta = {"command": "verify", **meta_phys,
             "N": cfg.get("N", "0"), "n": cfg.get("n", "0"), "m": cfg.get("m", "0"),
             "tol_energy": tol.energy_rel, "tol_lambda": tol.lambda_abs,
             "tol_residual": tol.residual_rel, "points": n_points,
             "levels": levels, "perturb_energy": offset}
     # the verification report is JSON-first; CSV mirrors the same fields
-    if cfg.get("format", "json") == "csv":
-        cols = ["name", "status", "value", "target", "tolerance", "error_estimate"]
-        _emit(_csv_table(meta, cols, checks), cfg.get("out"))
-    else:
-        _emit(json.dumps({"meta": meta, "checks": checks}, indent=2) + "\n",
-              cfg.get("out"))
+    _emit(_table(cfg.get("format", "json"), meta, _VERIFY_COLUMNS, checks, key="checks"),
+          cfg.get("out"))
     return 0 if all_passed else 1
 
 
@@ -437,29 +511,31 @@ def _cmd_reduce(cfg: dict, problems: list) -> int:
     if case not in ("cheng-dai", "kratzer", "ddim", "coulomb-ring"):
         problems.append(("case", "must be one of cheng-dai, kratzer, ddim, "
                                  "coulomb-ring; got %r" % case))
-    beta_override = cfg.get("beta")
-    if beta_override is not None:
-        beta_override = float(beta_override)
+    beta_override = None
+    if cfg.get("beta") is not None:
+        beta_override = _number(cfg, "beta", 0.0, problems)
         if case == "kratzer" and beta_override != 0.0:
             problems.append(("beta", "must be 0 for the kratzer case (the ring "
                                      "term is absent there)"))
-    mu = float(cfg.get("mu", 1.0))
-    hbar = float(cfg.get("hbar", 1.0))
+    mu = _number(cfg, "mu", 1.0, problems)
+    hbar = _number(cfg, "hbar", 1.0, problems)
     if mu <= 0:
         problems.append(("mu", "must be positive"))
     if hbar <= 0:
         problems.append(("hbar", "must be positive"))
+    seed = None
+    if cfg.get("negative_control") is not None:
+        seed = _integer(cfg, "negative_control", 0, problems)
     if problems:
         raise ConfigError(problems)
 
     consts = spectrum.PhysicalConstants(mu=mu, hbar=hbar)
     rows = _reduce_rows(case, consts, beta_override)
 
-    seed = cfg.get("negative_control")
     if seed is not None:
         # deliberately corrupt one pseudo-randomly chosen literal value so the
         # comparator provably trips; used by the exit-code contract tests
-        idx = random.Random(int(seed)).randrange(len(rows))
+        idx = random.Random(seed).randrange(len(rows))
         rows[idx]["literal"] *= 1.0 + 1e-9
 
     worst = 0.0
@@ -472,13 +548,9 @@ def _cmd_reduce(cfg: dict, problems: list) -> int:
 
     meta = {"command": "reduce", "case": case, "mu": mu, "hbar": hbar,
             "rel_tol": _REL_TOL_REDUCE, "worst_rel_diff": worst}
-    first_cols = [c for c in ("De", "re", "Z", "D", "beta", "ell", "N", "n", "m")
-                  if c in rows[0]]
-    columns = first_cols + ["literal", "general", "abs_diff", "status"]
-    if cfg.get("format", "csv") == "json":
-        _emit(_json_table(meta, rows), cfg.get("out"))
-    else:
-        _emit(_csv_table(meta, columns, rows), cfg.get("out"))
+    columns = list(rows[0])
+    _emit(_table(cfg.get("format", "csv"), meta, columns,
+                 [tuple(row.values()) for row in rows]), cfg.get("out"))
     return 0 if all(r["status"] == "ok" for r in rows) else 1
 
 

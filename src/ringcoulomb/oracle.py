@@ -63,6 +63,11 @@ class SpectrumPollution(OracleError):
     """An eigenvalue moved by more than its spectral gap between refinement levels."""
 
 
+#: smallest base grid and fewest refinement levels a GridSpec accepts
+MIN_POINTS = 64
+MIN_LEVELS = 2
+
+
 @dataclass(frozen=True)
 class GridSpec:
     x_min: float
@@ -73,10 +78,10 @@ class GridSpec:
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise ValueError("need x_min < x_max")
-        if self.n_points < 64:
-            raise ValueError("n_points must be at least 64")
-        if self.refinement_levels < 2:
-            raise ValueError("refinement_levels must be at least 2")
+        if self.n_points < MIN_POINTS:
+            raise ValueError("n_points must be at least %d" % MIN_POINTS)
+        if self.refinement_levels < MIN_LEVELS:
+            raise ValueError("refinement_levels must be at least %d" % MIN_LEVELS)
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,18 @@ class TestWavefunction:
         assert run(["wavefunction", "--a", "1", "--N", "0..2"]) == 2
         assert "N:" in capsys.readouterr().err
 
+    def test_json_and_csv_carry_the_same_samples(self, capsys):
+        args = ["wavefunction", "--a", "1.2", "--beta", "1.5", "--N", "1", "--m", "1",
+                "--nr", "17", "--ntheta", "9"]
+        assert run(args + ["--format", "csv"]) == 0
+        _, rows = load_table(capsys.readouterr().out)
+        from_csv = [(float(r["r"]), float(r["theta"]), float(r["density"])) for r in rows]
+        assert run(args + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        from_json = [(r["r"], r["theta"], r["density"]) for r in payload["rows"]]
+        assert len(from_csv) == 17 * 9
+        assert from_json == from_csv
+
 
 class TestVerify:
     def test_pass_case_exit_zero(self, tmp_path):
@@ -218,6 +230,87 @@ class TestReduce:
     def test_missing_case_is_config_error(self, capsys):
         assert run(["reduce"]) == 2
         assert "case:" in capsys.readouterr().err
+
+
+class TestTableWriter:
+    COLUMNS = ["x", "y"]
+    META = {"command": "test", "a": 1.5, "label": "caf\u00e9"}
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0, 0.1, 1e300, None,
+        'quote " back \\ tab \t nl \n caf\u00e9 \u2603 %s', "", 0, -7, 10**20,
+        True, False, np.float64(2.5), np.float64(math.nan),
+    ])
+    def test_json_rows_render_as_json_dumps(self, value):
+        rows = [(value, 1), (2.0, value)]
+        expected = json.dumps({"meta": self.META,
+                               "rows": [dict(zip(self.COLUMNS, r)) for r in rows]},
+                              indent=2) + "\n"
+        assert cli._table("json", self.META, self.COLUMNS, rows) == expected
+
+    def test_empty_json_table(self):
+        expected = json.dumps({"meta": self.META, "checks": []}, indent=2) + "\n"
+        assert cli._table("json", self.META, self.COLUMNS, [], key="checks") == expected
+
+    def test_csv_rows_go_through_fmt(self):
+        rows = [(None, "ok"), (3, np.float64(0.25)), (math.nan, -0.0)]
+        text = cli._table("csv", {"command": "test", "a": 1.5}, self.COLUMNS, rows)
+        assert text == "# command=test\n# a=1.5\nx,y\n,ok\n3,0.25\nnan,-0.0\n"
+
+
+class TestBadInput:
+    """Every bad value gets exit code 2 and one ``field: message`` line."""
+
+    @pytest.mark.parametrize("argv, field", [
+        (["spectrum", "--a", "nan"], "a"),
+        (["spectrum", "--a", "inf", "--beta", "inf"], "beta"),
+        (["spectrum", "--b=-inf"], "b"),
+        (["spectrum", "--c", "nan"], "c"),
+        (["spectrum", "--mu", "inf"], "mu"),
+        (["wavefunction", "--hbar", "nan"], "hbar"),
+        (["wavefunction", "--r-max", "-3"], "r_max"),
+        (["wavefunction", "--r-max", "0"], "r_max"),
+        (["wavefunction", "--r-max", "inf"], "r_max"),
+        (["verify", "--points", "10"], "points"),
+        (["verify", "--levels", "1"], "levels"),
+        (["verify", "--tol-energy", "nan"], "tol_energy"),
+        (["reduce", "--case", "ddim", "--beta", "nan"], "beta"),
+        (["reduce", "--case", "ddim", "--mu", "inf"], "mu"),
+    ])
+    def test_flags(self, argv, field, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("error: %s: " % field) in captured.err
+
+    @pytest.mark.parametrize("command, config, field", [
+        ("spectrum", {"a": "x"}, "a"),
+        ("spectrum", {"beta": None}, "beta"),
+        ("spectrum", {"hbar": True}, "hbar"),
+        ("spectrum", {"D": 3.5}, "D"),
+        ("spectrum", {"D": 1e400}, "D"),
+        ("spectrum", {"format": "xml"}, "format"),
+        ("wavefunction", {"nr": 10.5}, "nr"),
+        ("wavefunction", {"ntheta": "many"}, "ntheta"),
+        ("wavefunction", {"r_max": "far"}, "r_max"),
+        ("verify", {"points": "x"}, "points"),
+        ("verify", {"levels": 2.5}, "levels"),
+        ("reduce", {"case": "ddim", "negative_control": "seven"}, "negative_control"),
+    ])
+    def test_config_values(self, command, config, field, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        assert run([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("error: %s: " % field) in captured.err
+
+    def test_integral_config_values_still_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"D": 4.0, "nr": "12", "ntheta": 5}))
+        assert run(["wavefunction", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "# D=4\n" in out and "# nr=12\n" in out
 
 
 class TestConfigHandling:
