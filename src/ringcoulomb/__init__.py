@@ -51,6 +51,7 @@ from .oracle import (
     angular_eigen,
     radial_eigen,
     verify_state,
+    verify_states,
 )
 
 __all__ = [
@@ -62,5 +63,5 @@ __all__ = [
     "QuantumNumbers", "SpectrumEntry", "energy", "energy_coulombic_form",
     "BoundState", "EvalPoint", "bound_state", "total_psi",
     "GridSpec", "VerificationReport", "angular_eigen", "radial_eigen",
-    "verify_state",
+    "verify_state", "verify_states",
 ]

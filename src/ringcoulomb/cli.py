@@ -15,7 +15,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -48,6 +47,12 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+#: size caps, each checked before anything of that size is built
+MAX_STATES = 10**6          # indices in one range; states in a spectrum or verify run
+MAX_SAMPLES = 10**6         # wavefunction nr * ntheta
+MAX_GRID_NODES = 2**20      # nodes on the finest verify grid
+
+
 def _parse_range(text: str, field: str, problems: list) -> list:
     s = str(text).strip()
     try:
@@ -62,7 +67,21 @@ def _parse_range(text: str, field: str, problems: list) -> list:
     if lo < 0:
         problems.append((field, "indices must be nonnegative, got %r" % text))
         return []
+    if hi - lo + 1 > MAX_STATES:
+        problems.append((field, "range holds %d indices, more than %d"
+                         % (hi - lo + 1, MAX_STATES)))
+        return []
     return list(range(lo, hi + 1))
+
+
+def _state_ranges(cfg: dict, problems: list) -> list:
+    """The N, n and m ranges, holding at most MAX_STATES states together."""
+    ranges = [_parse_range(cfg.get(key, "0"), key, problems) for key in ("N", "n", "m")]
+    count = math.prod(map(len, ranges))
+    if count > MAX_STATES:
+        problems.append(("states", "N, n and m ranges hold %d states, more than %d"
+                         % (count, MAX_STATES)))
+    return ranges
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -302,14 +321,12 @@ _SPECTRUM_COLUMNS = ["N", "n", "m", "m_prime", "ell_prime", "L", "N_prime",
 
 def _cmd_spectrum(cfg: dict, problems: list) -> int:
     params, consts, meta_phys = _physics(cfg, problems)
-    N_range = _parse_range(cfg.get("N", "0"), "N", problems)
-    n_range = _parse_range(cfg.get("n", "0"), "n", problems)
-    m_range = _parse_range(cfg.get("m", "0"), "m", problems)
+    ranges = _state_ranges(cfg, problems)
     if problems:
         raise ConfigError(problems)
 
     rows = []
-    for N, n, m in itertools.product(N_range, n_range, m_range):
+    for N, n, m in itertools.product(*ranges):
         q = spectrum.QuantumNumbers(N=N, n=n, m=m)
         try:
             entry = spectrum.energy(params, consts, q)
@@ -352,6 +369,9 @@ def _cmd_wavefunction(cfg: dict, problems: list) -> int:
         problems.append(("nr", "need at least 2 radial samples"))
     if ntheta < 2:
         problems.append(("ntheta", "need at least 2 polar samples"))
+    if min(nr, ntheta) >= 2 and nr * ntheta > MAX_SAMPLES:
+        problems.append(("ntheta", "nr * ntheta = %d samples, more than %d"
+                         % (nr * ntheta, MAX_SAMPLES)))
     r_max = None
     if cfg.get("r_max") is not None:
         r_max = _number(cfg, "r_max", 1.0, problems)
@@ -378,7 +398,14 @@ def _cmd_wavefunction(cfg: dict, problems: list) -> int:
             "angular_norm_adjusted": str(state.angular.adjusted).lower(),
             "nr": nr, "ntheta": ntheta, "r_max": r_max,
             "density": "abs(psi)^2 * r^(D-1) * sin(theta)"}
-    density = state.density(r_grid[:, None], theta_grid[None, :]).tolist()
+    # the assembly can overflow at large quantum numbers; no such sample is data
+    with np.errstate(all="ignore"):
+        density = state.density(r_grid[:, None], theta_grid[None, :])
+    bad = int(np.count_nonzero(~np.isfinite(density)))
+    if bad:
+        raise ConfigError([("state", "N=%d n=%d m=%d gives a non-finite density at "
+                                     "%d of %d grid points" % (N, n, m, bad, density.size))])
+    density = density.tolist()
     columns = ["r", "theta", "density"]
     fmt = cfg.get("format", "csv")
     if fmt == "json":
@@ -408,9 +435,7 @@ _VERIFY_COLUMNS = ["name", "status", "value", "target", "tolerance", "error_esti
 
 def _cmd_verify(cfg: dict, problems: list) -> int:
     params, consts, meta_phys = _physics(cfg, problems)
-    N_range = _parse_range(cfg.get("N", "0"), "N", problems)
-    n_range = _parse_range(cfg.get("n", "0"), "n", problems)
-    m_range = _parse_range(cfg.get("m", "0"), "m", problems)
+    ranges = _state_ranges(cfg, problems)
     tol = oracle.VerifyTolerances(
         energy_rel=_number(cfg, "tol_energy", 1e-4, problems),
         lambda_abs=_number(cfg, "tol_lambda", 1e-4, problems),
@@ -424,29 +449,22 @@ def _cmd_verify(cfg: dict, problems: list) -> int:
     if levels < oracle.MIN_LEVELS:
         problems.append(("levels", "must be at least %d, got %r"
                          % (oracle.MIN_LEVELS, levels)))
+    # level i solves on base * 2**i nodes; the shift keeps a huge --levels cheap
+    elif max(n_points, oracle.ANGULAR_MIN_POINTS) > MAX_GRID_NODES >> (levels - 1):
+        problems.append(("levels", "%d levels need more than %d nodes on the finest grid"
+                         % (levels, MAX_GRID_NODES)))
     if problems:
         raise ConfigError(problems)
 
     states = [spectrum.QuantumNumbers(N=N, n=n, m=m)
-              for N, n, m in itertools.product(N_range, n_range, m_range)]
-
-    def run(q):
-        report = oracle.verify_state(params, consts, q, tol,
-                                     n_points=n_points, refinement_levels=levels,
-                                     energy_offset=offset)
-        return q, report
-
-    if len(states) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(states))) as pool:
-            results = list(pool.map(run, states))
-    else:
-        results = [run(q) for q in states]
-    results.sort(key=lambda item: (item[0].N, item[0].n, item[0].m))
+              for N, n, m in itertools.product(*ranges)]
+    reports = oracle.verify_states(params, consts, states, tol, n_points=n_points,
+                                   refinement_levels=levels, energy_offset=offset)
 
     checks = [("N%d_n%d_m%d.%s" % (q.N, q.n, q.m, c.name), c.status, c.value,
                c.target, c.tolerance, c.error_estimate)
-              for q, report in results for c in report.checks]
-    all_passed = all(report.passed for _, report in results)
+              for q, report in zip(states, reports) for c in report.checks]
+    all_passed = all(report.passed for report in reports)
     meta = {"command": "verify", **meta_phys,
             "N": cfg.get("N", "0"), "n": cfg.get("n", "0"), "m": cfg.get("m", "0"),
             "tol_energy": tol.energy_rel, "tol_lambda": tol.lambda_abs,

@@ -358,14 +358,6 @@ def solve(problem: NUProblem, *, domain=None) -> NUSolution:
     return NUSolution(problem=problem, branch=branch)
 
 
-def lambda_n(solution: NUSolution, n: int):
-    return solution.lambda_n(n)
-
-
-def lambda_const(solution: NUSolution):
-    return solution.lambda_const
-
-
 def radial_coulomb_problem(alpha, gamma, epsilon) -> NUProblem:
     """Reduced radial problem g'' + (-eps^2 r^2 + alpha r - gamma)/r^2 g = 0.
 

@@ -66,6 +66,8 @@ class SpectrumPollution(OracleError):
 #: smallest base grid and fewest refinement levels a GridSpec accepts
 MIN_POINTS = 64
 MIN_LEVELS = 2
+#: the polar solver never uses a base grid coarser than this
+ANGULAR_MIN_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -382,33 +384,60 @@ def angular_ode_residual(params, consts, q, *, pad=0.1, n_pts=200):
     return float(np.max(np.abs(resid))), float(scale)
 
 
+def _check(name, value, target, error, tolerance, error_estimate=0.0) -> CheckResult:
+    return CheckResult(name=name, status="pass" if error <= tolerance else "fail",
+                       value=value, target=target, tolerance=tolerance,
+                       error_estimate=error_estimate)
+
+
+def verify_states(params: spectrum.PotentialParams, consts: spectrum.PhysicalConstants,
+                  states, tolerances: VerifyTolerances | None = None, *,
+                  n_points: int = 1500, refinement_levels: int = 3,
+                  energy_offset: float = 0.0) -> list:
+    """Cross-check closed-form states; one report per state, in input order.
+
+    The polar equation does not involve N, so states sharing (n, m) share
+    their two angular checks; the radial checks run per state.
+    """
+    angular_checks = {}
+    return [verify_state(params, consts, q, tolerances, n_points=n_points,
+                         refinement_levels=refinement_levels,
+                         energy_offset=energy_offset, angular_checks=angular_checks)
+            for q in states]
+
+
 def verify_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalConstants,
                  q: spectrum.QuantumNumbers,
                  tolerances: VerifyTolerances | None = None, *,
                  n_points: int = 1500, refinement_levels: int = 3,
-                 energy_offset: float = 0.0) -> VerificationReport:
+                 energy_offset: float = 0.0,
+                 angular_checks: dict | None = None) -> VerificationReport:
     """Cross-check one closed-form state against the finite-difference solvers.
 
     Runs the angular solver to confirm Lambda, the radial solver (fed the
     confirmed closed-form Lambda through gamma) to confirm E, and the ODE
     residuals of the analytic wavefunctions.  ``energy_offset`` shifts the
     closed-form energy before comparison and exists for negative controls.
+    ``angular_checks`` maps (n, m) to the angular checks of states verified
+    with the same arguments apart from N; missing entries are added to it.
     """
     tol = tolerances or VerifyTolerances()
     entry = spectrum.energy(params, consts, q)
     eff = entry.eff
-    checks = []
-
-    ang = angular_eigen(q.m, params.beta, consts,
-                        angular_grid(n_points=max(n_points, 1000),
-                                     refinement_levels=refinement_levels),
-                        q.n + 1)
-    lam_fd = float(ang.richardson[q.n])
-    lam_err = abs(lam_fd - eff.Lambda)
-    checks.append(CheckResult(
-        name="angular_lambda", status="pass" if lam_err <= tol.lambda_abs else "fail",
-        value=lam_fd, target=eff.Lambda, tolerance=tol.lambda_abs,
-        error_estimate=float(ang.est_error[q.n])))
+    angular_checks = {} if angular_checks is None else angular_checks
+    if (q.n, q.m) not in angular_checks:
+        ang = angular_eigen(q.m, params.beta, consts,
+                            angular_grid(n_points=max(n_points, ANGULAR_MIN_POINTS),
+                                         refinement_levels=refinement_levels),
+                            q.n + 1)
+        lam_fd = float(ang.richardson[q.n])
+        resid_a, scale_a = angular_ode_residual(params, consts, q)
+        angular_checks[q.n, q.m] = (
+            _check("angular_lambda", lam_fd, eff.Lambda, abs(lam_fd - eff.Lambda),
+                   tol.lambda_abs, float(ang.est_error[q.n])),
+            _check("angular_ode_residual", resid_a, 0.0, resid_a,
+                   tol.residual_rel * scale_a))
+    lam_check, resid_a_check = angular_checks[q.n, q.m]
 
     rad = radial_eigen(eff.alpha, eff.gamma,
                        radial_grid_for(eff.alpha, eff.gamma, q.N + 1,
@@ -419,24 +448,11 @@ def verify_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalCons
     E_fd = params.c + consts.hbar**2 * e_fd / (2.0 * consts.mu)
     E_target = entry.E + energy_offset
     scale = max(abs(E_target), abs(E_target - params.c))
-    E_err = abs(E_fd - E_target)
-    checks.append(CheckResult(
-        name="radial_energy", status="pass" if E_err <= tol.energy_rel * scale else "fail",
-        value=E_fd, target=E_target, tolerance=tol.energy_rel * scale,
-        error_estimate=float(rad.est_error[q.N]) * consts.hbar**2 / (2.0 * consts.mu)))
-
     resid, scale_r = radial_ode_residual(params, consts, q, energy_offset=energy_offset)
-    checks.append(CheckResult(
-        name="radial_ode_residual",
-        status="pass" if resid <= tol.residual_rel * scale_r else "fail",
-        value=resid, target=0.0, tolerance=tol.residual_rel * scale_r,
-        error_estimate=0.0))
-
-    resid_a, scale_a = angular_ode_residual(params, consts, q)
-    checks.append(CheckResult(
-        name="angular_ode_residual",
-        status="pass" if resid_a <= tol.residual_rel * scale_a else "fail",
-        value=resid_a, target=0.0, tolerance=tol.residual_rel * scale_a,
-        error_estimate=0.0))
-
-    return VerificationReport(checks=checks)
+    return VerificationReport(checks=[
+        lam_check,
+        _check("radial_energy", E_fd, E_target, abs(E_fd - E_target),
+               tol.energy_rel * scale,
+               float(rad.est_error[q.N]) * consts.hbar**2 / (2.0 * consts.mu)),
+        _check("radial_ode_residual", resid, 0.0, resid, tol.residual_rel * scale_r),
+        resid_a_check])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +277,14 @@ class TestBadInput:
         (["verify", "--tol-energy", "nan"], "tol_energy"),
         (["reduce", "--case", "ddim", "--beta", "nan"], "beta"),
         (["reduce", "--case", "ddim", "--mu", "inf"], "mu"),
+        # size caps, rejected before anything of that size is built
+        (["spectrum", "--N", "0..1000000"], "N"),
+        (["spectrum", "--N", "0..999", "--n", "0..999", "--m", "0..1"], "states"),
+        (["verify", "--N", "0..999", "--n", "0..999", "--m", "0..1"], "states"),
+        (["wavefunction", "--nr", "1001", "--ntheta", "1000"], "ntheta"),
+        (["verify", "--levels", "30"], "levels"),
+        (["verify", "--points", "1500", "--levels", "11"], "levels"),
+        (["verify", "--points", "64", "--levels", "12"], "levels"),  # polar grid floor
     ])
     def test_flags(self, argv, field, capsys):
         assert run(argv) == 2
@@ -304,6 +313,15 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert ("error: %s: " % field) in captured.err
+
+    def test_non_finite_density_is_not_data(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["wavefunction", "--m", "300", "--nr", "3", "--ntheta", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: state: ")
+        assert captured.err.count("\n") == 1
 
     def test_integral_config_values_still_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

@@ -32,6 +32,9 @@ _WAVE_ADJUSTED = ["wavefunction", "--a", "1.3", "--b", "0.2", "--beta", "2",
                   "--N", "1", "--n", "1", "--m", "2", "--nr", "41", "--ntheta", "21"]
 _VERIFY = ["verify", "--a", "1", "--b", "0.2", "--beta", "0.5", "--N", "1",
            "--n", "0", "--m", "1"]
+# 18 states, three radial indices sharing each (n, m)
+_VERIFY_RANGE = ["verify", "--a", "1.2", "--b", "0.3", "--beta", "1.5", "--D", "4",
+                 "--N", "0..2", "--n", "0..1", "--m", "0..2"]
 
 #: golden file name -> argv
 INVOCATIONS = {
@@ -45,6 +48,8 @@ INVOCATIONS = {
     "wavefunction_adjusted.json": _WAVE_ADJUSTED + ["--format", "json"],
     "verify.csv": _VERIFY + ["--format", "csv"],
     "verify.json": _VERIFY + ["--format", "json"],
+    "verify_range.csv": _VERIFY_RANGE + ["--format", "csv"],
+    "verify_range.json": _VERIFY_RANGE + ["--format", "json"],
     "reduce_cheng-dai.csv": ["reduce", "--case", "cheng-dai"],
     "reduce_kratzer.csv": ["reduce", "--case", "kratzer"],
     "reduce_ddim.csv": ["reduce", "--case", "ddim"],

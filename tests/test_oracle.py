@@ -1,5 +1,7 @@
 """Finite-difference eigensolvers against known spectra and negative controls."""
 
+import collections
+import itertools
 import math
 
 import numpy as np
@@ -186,3 +188,44 @@ class TestVerifyState:
         for check in payload["checks"]:
             assert set(check) == {"name", "status", "value", "target",
                                   "tolerance", "error_estimate"}
+
+
+class TestVerifyStates:
+    PARAMS = spectrum.PotentialParams(a=1.2, b=0.3, c=0.0, beta=1.5, D=4)
+    STATES = [spectrum.QuantumNumbers(N, n, m)
+              for N, n, m in itertools.product(range(3), range(2), range(2))]
+
+    def test_reports_equal_the_per_state_reports(self):
+        reports = oracle.verify_states(self.PARAMS, CONSTS, self.STATES)
+        assert reports == [oracle.verify_state(self.PARAMS, CONSTS, q)
+                           for q in self.STATES]
+
+    def test_one_angular_solve_per_n_m_and_one_radial_solve_per_state(self, monkeypatch):
+        angular, radial = collections.Counter(), collections.Counter()
+        angular_eigen, radial_eigen = oracle.angular_eigen, oracle.radial_eigen
+
+        def counted_angular(m, beta, consts, grid, k_states):
+            angular[k_states - 1, m] += 1
+            return angular_eigen(m, beta, consts, grid, k_states)
+
+        def counted_radial(alpha, gamma, grid, k_states):
+            radial[alpha, gamma, k_states - 1] += 1
+            return radial_eigen(alpha, gamma, grid, k_states)
+
+        monkeypatch.setattr(oracle, "angular_eigen", counted_angular)
+        monkeypatch.setattr(oracle, "radial_eigen", counted_radial)
+        oracle.verify_states(self.PARAMS, CONSTS, self.STATES)
+        assert angular == {(n, m): 1 for n in range(2) for m in range(2)}
+        assert sum(radial.values()) == len(self.STATES) == 12
+        assert set(radial.values()) == {1}
+
+    def test_energy_offset_fails_only_the_radial_checks(self):
+        # the offset shifts E, which the shared angular checks never see
+        clean = oracle.verify_states(self.PARAMS, CONSTS, self.STATES)
+        shifted = oracle.verify_states(self.PARAMS, CONSTS, self.STATES,
+                                       energy_offset=1e-2)
+        for before, after in zip(clean, shifted):
+            assert {c.name for c in after.checks if not c.passed} == {
+                "radial_energy", "radial_ode_residual"}
+            assert ([c for c in after.checks if c.name.startswith("angular")]
+                    == [c for c in before.checks if c.name.startswith("angular")])
