@@ -349,7 +349,7 @@ def radial_ode_residual(params, consts, q, *, r_lo=0.1, r_hi=20.0, n_pts=200,
     """
     entry = spectrum.energy(params, consts, q)
     eff = entry.eff
-    state = wavefunctions.radial_state(params, consts, q)
+    state = wavefunctions.radial_state_of(entry, params.D)
     e = 2.0 * consts.mu * (entry.E + energy_offset - params.c) / consts.hbar**2
 
     def g(r):

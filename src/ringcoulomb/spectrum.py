@@ -51,8 +51,8 @@ class PhysicalConstants:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.mu <= 0 or self.hbar <= 0:
-            raise ValueError("mu and hbar must be positive")
+        if not (0 < self.mu < math.inf and 0 < self.hbar < math.inf):
+            raise ValueError("mu and hbar must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,8 @@ class PotentialParams:
     D: int = 3
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.c, self.beta))):
+            raise ValueError("a, b, c and beta must be finite")
         if self.a < 0 or self.b < 0 or self.beta < 0:
             raise ValueError("a, b and beta must be nonnegative")
         if not isinstance(self.D, int) or self.D < 2:

@@ -14,10 +14,10 @@ in the log domain.  The angular factor is
     H(theta) = norm * sin(theta)**m' * P_n^(m',m')(cos(theta))
 
 whose textbook prefactor sqrt((2l'+1)(l'-m')! / (2 (l'+m')!)) only
-normalizes the m' in {0, 1} family; every constructed state is therefore
-checked by quadrature against the sin(theta) measure and renormalized when
-the analytic constant is off by more than NORM_CHECK_TOL, with the
-discrepancy recorded on the state.
+normalizes the m' in {0, 1} family; every state is checked against the
+closed-form sin(theta)-weighted norm of its shape (DLMF 18.3) and renormalized
+when the analytic constant is off by more than NORM_CHECK_TOL, with the
+discrepancy recorded on the state.  Quadrature serves only as a reference.
 """
 
 from __future__ import annotations
@@ -32,24 +32,28 @@ from . import quadrature, spectrum
 from .special import jacobi, laguerre, sin_power
 
 #: relative misnormalization above which the analytic angular prefactor is
-#: replaced by the quadrature value
+#: replaced by the closed-form norm
 NORM_CHECK_TOL = 1e-6
 
 
-def normalization_C(N: int, L: float, epsilon: float) -> float:
-    """Radial normalization constant, computed via log-Gamma."""
+def log_normalization_C(N: int, L: float, epsilon: float) -> float:
+    """log C of the radial normalization constant, via log-Gamma."""
     if N < 0:
         raise ValueError("N must be a nonnegative integer")
     if L <= -1.0:
         raise ValueError("L must exceed -1")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    log_c2 = ((2.0 * L + 3.0) * math.log(2.0 * epsilon)
-              + math.lgamma(N + 1.0)
-              - math.log(2.0)
-              - math.log(N + L + 1.0)
-              - math.lgamma(N + 2.0 * L + 2.0))
-    return math.exp(0.5 * log_c2)
+    return 0.5 * ((2.0 * L + 3.0) * math.log(2.0 * epsilon)
+                  + math.lgamma(N + 1.0)
+                  - math.log(2.0)
+                  - math.log(N + L + 1.0)
+                  - math.lgamma(N + 2.0 * L + 2.0))
+
+
+def normalization_C(N: int, L: float, epsilon: float) -> float:
+    """Radial normalization constant C = exp(log_normalization_C)."""
+    return math.exp(log_normalization_C(N, L, epsilon))
 
 
 @dataclass(frozen=True)
@@ -61,12 +65,16 @@ class RadialState:
     C: float
 
 
+def radial_state_of(entry: spectrum.SpectrumEntry, D: int) -> RadialState:
+    """The normalized radial factor of an already computed spectrum entry."""
+    N, L = entry.quantum.N, entry.eff.L
+    return RadialState(N=N, L=L, epsilon=entry.epsilon, D=D,
+                       C=normalization_C(N, L, entry.epsilon))
+
+
 def radial_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalConstants,
                  q: spectrum.QuantumNumbers) -> RadialState:
-    entry = spectrum.energy(params, consts, q)
-    L = entry.eff.L
-    return RadialState(N=q.N, L=L, epsilon=entry.epsilon, D=params.D,
-                       C=normalization_C(q.N, L, entry.epsilon))
+    return radial_state_of(spectrum.energy(params, consts, q), params.D)
 
 
 def radial_R(state: RadialState, r):
@@ -107,21 +115,18 @@ class AngularState:
     adjusted: bool
 
 
-def _angular_shape_integral(n: int, mp: float) -> float:
-    """Quadrature of [sin^m' P_n^(m',m')(cos)]^2 sin(theta) over (0, pi)."""
-
-    def integrand(theta):
-        shape = sin_power(theta, mp) * jacobi(n, mp, mp, np.cos(theta))
-        return shape * shape * np.sin(theta)
-
-    return quadrature.integrate(integrand, 0.0, math.pi, tol=1e-12).value
+def log_jacobi_norm(n: int, mp: float) -> float:
+    """log h_n, where h_n = integral of [sin^m' P_n^(m',m')(cos)]^2 sin over (0, pi)."""
+    return ((2.0 * mp + 1.0) * math.log(2.0) + 2.0 * math.lgamma(n + mp + 1.0)
+            - math.log(2.0 * n + 2.0 * mp + 1.0) - math.lgamma(n + 1.0)
+            - math.lgamma(n + 2.0 * mp + 1.0))
 
 
 def angular_state(n: int, mp: float, D: int = 3) -> AngularState:
     """Build the polar factor for Jacobi index n and effective index m'.
 
     The analytic prefactor is kept when it normalizes the state to within
-    NORM_CHECK_TOL; otherwise the quadrature value replaces it and the
+    NORM_CHECK_TOL; otherwise the closed-form norm h_n replaces it and the
     state is flagged ``adjusted``.
     """
     if n < 0:
@@ -129,7 +134,7 @@ def angular_state(n: int, mp: float, D: int = 3) -> AngularState:
     if mp < 0:
         raise ValueError("m_prime must be nonnegative")
     lp = spectrum.ell_prime(n, mp, D)
-    shape = _angular_shape_integral(n, mp)
+    shape = math.exp(log_jacobi_norm(n, mp))
     if lp - mp > -1.0:
         printed = math.exp(0.5 * (
             math.log(2.0 * lp + 1.0) + math.lgamma(lp - mp + 1.0)
@@ -137,7 +142,7 @@ def angular_state(n: int, mp: float, D: int = 3) -> AngularState:
         printed_integral = printed * printed * shape
     else:
         # Gamma(l'-m'+1) is at a pole or negative; the printed constant is
-        # meaningless here and only the quadrature value can normalize
+        # meaningless here and only the closed-form norm can normalize
         printed = math.nan
         printed_integral = math.nan
     if math.isfinite(printed_integral) and abs(printed_integral - 1.0) <= NORM_CHECK_TOL:
@@ -214,17 +219,12 @@ class BoundState:
         """Total wavefunction through the combined prefactor.
 
         A single exp of summed log terms replaces the product of the three
-        factor constants; any quadrature adjustment of the angular norm is
-        folded in so that psi == R * H * Phi pointwise.
+        factor constants; any adjustment of the angular norm is folded in so
+        that psi == R * H * Phi pointwise.
         """
         rad, ang = self.radial, self.angular
-        log_pref = 0.5 * (
-            (2.0 * rad.L + 3.0) * math.log(2.0 * rad.epsilon)
-            + math.lgamma(rad.N + 1.0)
-            - math.log(2.0)
-            - math.log(rad.N + rad.L + 1.0)
-            - math.lgamma(rad.N + 2.0 * rad.L + 2.0)
-        ) + math.log(ang.norm) - 0.5 * math.log(2.0 * math.pi)
+        log_pref = (log_normalization_C(rad.N, rad.L, rad.epsilon)
+                    + math.log(ang.norm) - 0.5 * math.log(2.0 * math.pi))
         expo = rad.L - 0.5 * (rad.D - 3)
         r = np.asarray(r, dtype=float) if np.ndim(r) else float(r)
         with np.errstate(divide="ignore"):
@@ -251,11 +251,9 @@ class BoundState:
 def bound_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalConstants,
                 q: spectrum.QuantumNumbers) -> BoundState:
     entry = spectrum.energy(params, consts, q)
-    rad = RadialState(N=q.N, L=entry.eff.L, epsilon=entry.epsilon, D=params.D,
-                      C=normalization_C(q.N, entry.eff.L, entry.epsilon))
-    ang = angular_state(q.n, entry.eff.m_prime, params.D)
     return BoundState(params=params, consts=consts, quantum=q, entry=entry,
-                      radial=rad, angular=ang)
+                      radial=radial_state_of(entry, params.D),
+                      angular=angular_state(q.n, entry.eff.m_prime, params.D))
 
 
 def total_psi(params: spectrum.PotentialParams, consts: spectrum.PhysicalConstants,

@@ -314,10 +314,14 @@ class TestBadInput:
         assert captured.out == ""
         assert ("error: %s: " % field) in captured.err
 
-    def test_non_finite_density_is_not_data(self, capsys):
+    @pytest.mark.parametrize("indices", [
+        ["--m", "300"],
+        ["--N", "60", "--n", "60", "--m", "60"],
+    ], ids=["m300", "N60_n60_m60"])
+    def test_non_finite_density_is_not_data(self, indices, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(["wavefunction", "--m", "300", "--nr", "3", "--ntheta", "3"]) == 2
+            assert run(["wavefunction", *indices, "--nr", "3", "--ntheta", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: state: ")

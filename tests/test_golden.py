@@ -27,7 +27,7 @@ _SPECTRUM = ["spectrum", "--a", "1.5", "--b", "0.3", "--beta", "1.1", "--D", "4"
 # beta = 0, m = 0: the printed angular constant normalizes the state
 _WAVE_PRINTED = ["wavefunction", "--a", "1.3", "--b", "0.2", "--N", "1", "--n", "1",
                  "--m", "0", "--nr", "41", "--ntheta", "21"]
-# beta = 2, m = 2: the angular norm is replaced by the quadrature value
+# beta = 2, m = 2: the angular norm is replaced by the closed-form value
 _WAVE_ADJUSTED = ["wavefunction", "--a", "1.3", "--b", "0.2", "--beta", "2",
                   "--N", "1", "--n", "1", "--m", "2", "--nr", "41", "--ntheta", "21"]
 _VERIFY = ["verify", "--a", "1", "--b", "0.2", "--beta", "0.5", "--N", "1",

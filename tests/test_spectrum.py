@@ -297,3 +297,15 @@ class TestValidation:
     def test_constants_positive(self):
         with pytest.raises(ValueError):
             PhysicalConstants(mu=0.0)
+
+    @pytest.mark.parametrize("field", ["a", "b", "c", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            PotentialParams(**{"a": 1.0, field: value})
+
+    @pytest.mark.parametrize("field", ["mu", "hbar"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_constants_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            PhysicalConstants(**{field: value})

@@ -1,12 +1,15 @@
 """Wavefunction normalization, factorization and special-value tests."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import lpmv
 
 from ringcoulomb import quadrature, spectrum, wavefunctions as wf
+from ringcoulomb.special import jacobi, sin_power
 
 CONSTS = spectrum.PhysicalConstants()
 
@@ -16,14 +19,14 @@ def hydrogen_state():
                           spectrum.QuantumNumbers(0, 0, 0))
 
 
-def jacobi_weighted_norm(n: int, mp: float) -> float:
-    """Closed-form integral of (1-x^2)^m' [P_n^(m',m')]^2 over (-1, 1)."""
-    return math.exp(
-        (2.0 * mp + 1.0) * math.log(2.0)
-        + 2.0 * math.lgamma(n + mp + 1.0)
-        - math.log(2.0 * n + 2.0 * mp + 1.0)
-        - math.lgamma(n + 1.0)
-        - math.lgamma(n + 2.0 * mp + 1.0))
+def shape_norm_by_quadrature(n: int, mp: float) -> float:
+    """Integral of [sin^m' P_n^(m',m')(cos)]^2 sin(theta) over (0, pi)."""
+
+    def integrand(theta):
+        shape = sin_power(theta, mp) * jacobi(n, mp, mp, np.cos(theta))
+        return shape * shape * np.sin(theta)
+
+    return quadrature.integrate(integrand, 0.0, math.pi, tol=1e-12).value
 
 
 class TestNormalizationConstant:
@@ -50,6 +53,25 @@ class TestNormalizationConstant:
             wf.normalization_C(0, -1.0, 1.0)
         with pytest.raises(ValueError):
             wf.normalization_C(0, 0.0, 0.0)
+
+    @mpmath.workdps(50)
+    def test_against_mpmath(self):
+        # C**2 = (2 eps)**(2L+3) N! / (2 (N+L+1) Gamma(N+2L+2)), compared
+        # where C is a normal float (subnormal C loses digits)
+        compared = 0
+        for N in (0, 1, 5, 50, 150, 400):
+            for L in (-0.45, 0.0, 0.7, 3.2, 20.0, 150.2):
+                for eps in (0.05, 0.7, 3.0, 40.0):
+                    Nm, Lm, em = mpmath.mpf(N), mpmath.mpf(L), mpmath.mpf(eps)
+                    want = mpmath.sqrt(
+                        (2 * em) ** (2 * Lm + 3) * mpmath.factorial(Nm)
+                        / (2 * (Nm + Lm + 1) * mpmath.gamma(Nm + 2 * Lm + 2)))
+                    if not sys.float_info.min <= want <= sys.float_info.max:
+                        continue
+                    assert wf.normalization_C(N, L, eps) == pytest.approx(float(want),
+                                                                          rel=1e-11)
+                    compared += 1
+        assert compared > 100
 
 
 class TestRadial:
@@ -101,8 +123,21 @@ class TestAngular:
         for n in range(4):
             for mp in (0.0, 0.5, 1.0, 1.7, 2.0, 3.1):
                 state = wf.angular_state(n, mp, 3)
-                want = (state.printed_norm ** 2) * jacobi_weighted_norm(n, mp)
+                want = (state.printed_norm ** 2) * shape_norm_by_quadrature(n, mp)
                 assert state.printed_integral == pytest.approx(want, rel=1e-9)
+
+    @mpmath.workdps(50)
+    def test_log_jacobi_norm_against_mpmath(self):
+        # DLMF 18.3 with alpha = beta = m'; large indices are where the float
+        # log-Gamma differences cancel most
+        for n in (0, 1, 2, 5, 60, 150, 300):
+            for mp in (0, 0.3, 1, 2.7, 60, 150, 300):
+                m = mpmath.mpf(mp)
+                want = ((2 * m + 1) * mpmath.log(2) + 2 * mpmath.loggamma(n + m + 1)
+                        - mpmath.log(2 * n + 2 * m + 1) - mpmath.loggamma(n + 1)
+                        - mpmath.loggamma(n + 2 * m + 1))
+                assert wf.log_jacobi_norm(n, float(mp)) == pytest.approx(float(want),
+                                                                         rel=1e-11)
 
     def test_every_state_is_unit_normalized(self):
         rng = np.random.default_rng(13)
