@@ -383,8 +383,8 @@ def _cmd_wavefunction(cfg: dict, problems: list) -> int:
     state = wavefunctions.bound_state(params, consts,
                                       spectrum.QuantumNumbers(N=N, n=n, m=m))
     if r_max is None:
-        power = 2.0 * state.radial.L + 2.0 + 2.0 * N
-        r_max = decay_cutoff(power, 2.0 * state.radial.epsilon, drop=1e-12)
+        r_max = decay_cutoff(state.radial.envelope_power, 2.0 * state.radial.epsilon,
+                             drop=1e-12)
     r_max = float(r_max)
     r_grid = np.linspace(0.0, r_max, nr)
     theta_grid = np.linspace(0.0, math.pi, ntheta)

@@ -16,7 +16,10 @@ which has polynomial solutions of degree n exactly when
     lam = -n tau' - n (n - 1) / 2 * sigma''       (n = 0, 1, 2, ...)
 
 matches the branch constant lam = k + pi'.  Equating the two expressions
-quantizes whatever physical parameter the coefficients carry.
+quantizes whatever physical parameter the coefficients carry.  For the radial
+Coulomb problem ``quantize_epsilon`` gives the binding parameter in closed
+form and can cross-check it against a bracketed Brent root of the engine's
+own eigenvalue mismatch.
 
 Coefficients may be 64-bit floats or exact rationals (``fractions.Fraction``
 or int); all algebra stays inside the coefficient field.  In exact mode every
@@ -28,6 +31,7 @@ use a relative tolerance of ``TOLERANCE``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -226,6 +230,11 @@ def _radicand_parts(problem: NUProblem, exact: bool):
     return half.mul(half) - problem.sigma_tilde
 
 
+def _square_tol(rad: Poly2, exact: bool):
+    """Largest perfect-square residual of the radicand accepted as zero."""
+    return 0 if exact else TOLERANCE * max(abs(rad.c0), abs(rad.c1), abs(rad.c2), 1)
+
+
 def k_candidates(problem: NUProblem) -> list:
     """All real k for which the pi radicand can be a perfect square.
 
@@ -283,7 +292,7 @@ def pi_candidates(problem: NUProblem, k) -> list:
     a_zero = _vanishes(a, (q.c2, k * problem.sigma.c2), exact)
     b_zero = _vanishes(b, (q.c1, k * problem.sigma.c1), exact)
     c_zero = _vanishes(c, (q.c0, k * problem.sigma.c0), exact)
-    tol = 0 if exact else TOLERANCE * max(abs(a), abs(b), abs(c), 1)
+    tol = _square_tol(rad, exact)
 
     if a_zero:
         if not b_zero:
@@ -326,24 +335,46 @@ def branch_candidates(problem: NUProblem) -> list:
     return out
 
 
+def _tau_zero_on_end(problem: NUProblem, branch: NUBranch, end) -> bool:
+    """True when the zero of tau sits on the domain end ``end`` (finite).
+
+    tau = sigma' + 2*(pi - half), and (pi - half)^2 is the radicand
+    q + k*sigma up to the perfect-square tolerance, so tau(end) = 0 exactly
+    when sigma'(end)^2 = 4*radicand(end), on the branch whose tau(end) is
+    nearer 0 than 2*sigma'(end).  That gap is tested in place of tau(end):
+    in float mode the computed tau(end) carries the perfect-square tolerance,
+    amplified where k nearly cancels against sigma_tilde (the radial problem
+    at small eps).
+    """
+    if not math.isfinite(end):
+        return False
+    problem, exact = _canonical(problem)
+    sp = problem.sigma.deriv()(end)
+    tau_end = branch.tau(end)
+    if abs(tau_end) > abs(tau_end - 2 * sp):
+        return False
+    rad = _radicand_parts(problem, exact) + problem.sigma.scale(branch.k)
+    return abs(sp * sp - 4 * rad(end)) <= 4 * _square_tol(rad, exact)
+
+
 def select_branch(problem: NUProblem, candidates, *, domain=None) -> NUBranch:
     """Pick the branch whose tau has a negative slope.
 
     With ``domain=(lo, hi)`` the classical refinement is applied as well: the
     zero of tau must lie strictly inside the interval, which is what makes the
-    weight function integrable there.  Plain slope filtering can legitimately
-    leave two branches (both sign choices share tau' when tau_tilde' = 0), in
-    which case ``AmbiguousBranch`` is raised rather than guessing.
+    weight function integrable there; a zero on a finite end, to the precision
+    of the perfect-square test (exactly, for exact coefficients), is not inside.
+    Plain slope filtering can legitimately leave two branches (both sign
+    choices share tau' when tau_tilde' = 0), in which case ``AmbiguousBranch``
+    is raised rather than guessing.
     """
     admissible = [br for br in candidates if br.tau.c1 < 0]
     if domain is not None:
         lo, hi = domain
-        kept = []
-        for br in admissible:
-            root = -br.tau.c0 / br.tau.c1
-            if lo < root < hi:
-                kept.append(br)
-        admissible = kept
+        admissible = [
+            br for br in admissible
+            if lo < -br.tau.c0 / br.tau.c1 < hi
+            and not any(_tau_zero_on_end(problem, br, end) for end in (lo, hi))]
     if not admissible:
         raise NoValidBranch("no branch with tau' < 0%s" % (
             " and tau root inside the domain" if domain is not None else ""))
@@ -380,7 +411,7 @@ def quantize_epsilon(alpha: float, gamma: float, n_radial: int, *, verify: bool 
         eps = alpha / (2*N + 1 + sqrt(4*gamma + 1))
 
     With ``verify=True`` the value is cross-checked against
-    :func:`quantize_epsilon_bisect`, an independent numeric path through the
+    :func:`quantize_epsilon_bisect`, an independent numeric root through the
     engine, to a relative 1e-10.
     """
     if alpha <= 0:
@@ -394,17 +425,21 @@ def quantize_epsilon(alpha: float, gamma: float, n_radial: int, *, verify: bool 
         other = quantize_epsilon_bisect(alpha, gamma, n_radial)
         if abs(other - eps) > 1e-10 * eps:
             raise NUError(
-                "closed form %r and bisection %r disagree" % (eps, other))
+                "closed form %r and engine root %r disagree" % (eps, other))
     return eps
 
 
 def quantize_epsilon_bisect(alpha: float, gamma: float, n_radial: int,
                             rel_tol: float = 1e-12) -> float:
-    """Root of lambda_const(eps) - lambda_n(eps) by bisection.
+    """Root of lambda_const(eps) - lambda_n(eps), bracketed, by Brent's method.
 
     Every evaluation rebuilds the radial problem at the trial eps and runs
     the full engine (k roots, branch selection on (0, inf)), so this shares
-    no algebra with the closed form in :func:`quantize_epsilon`.
+    no algebra with the closed form in :func:`quantize_epsilon`.  The bracket
+    grows down from eps = alpha by factors of 4 until the mismatch changes
+    sign; Brent's iteration (inverse quadratic, secant, bisection fallback;
+    Brent 1973, ch. 4) then brackets the root to a relative ``rel_tol``.  The
+    ``_bisect`` name is kept for existing callers.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -415,23 +450,52 @@ def quantize_epsilon_bisect(alpha: float, gamma: float, n_radial: int,
         sol = solve(radial_coulomb_problem(alpha, gamma, eps), domain=(0.0, math.inf))
         return sol.lambda_const - sol.lambda_n(n_radial)
 
-    # mismatch is positive below the root and negative at eps = alpha;
-    # grow the bracket downward until the sign change is enclosed
-    hi = alpha
-    lo = 0.25 * alpha
-    for _ in range(60):
-        if mismatch(lo) > 0:
+    a, fa = b, fb = alpha, mismatch(alpha)
+    for _ in range(61):
+        if fb == 0 or (fa > 0) != (fb > 0):
             break
-        hi = lo
-        lo *= 0.25
+        a, fa = b, fb
+        b = 0.25 * a
+        fb = mismatch(b)
     else:
         raise NUError("no sign change bracketing the quantized epsilon")
+
+    # Brent's zero: b is the best estimate, c keeps f(c) of the other sign
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * mid:
-            break
-        if mismatch(mid) > 0:
-            lo = mid
+        if fb == 0:
+            return b
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, fa = b, fb
+            b, fb = c, fc
+            c, fc = a, fa
+        tol = (0.5 * rel_tol + 2.0 * sys.float_info.epsilon) * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            return b
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = mismatch(b)
+    raise NUError("Brent iteration did not converge on the quantized epsilon")

@@ -340,14 +340,14 @@ def _fd_first(f, x, h):
             - f(x + 2 * h)) / (12.0 * h)
 
 
-def radial_ode_residual(params, consts, q, *, r_lo=0.1, r_hi=20.0, n_pts=200,
+def radial_ode_residual(params, consts, entry, *, r_lo=0.1, r_hi=20.0, n_pts=200,
                         energy_offset=0.0):
     """Max residual of g'' + [e + alpha/r - gamma/r^2] g over a test grid.
 
-    Returns (max_residual, scale) with scale = max|g| * max|coefficient|; the
-    second derivative is taken by central differences of the analytic g.
+    ``entry`` is the state's ``spectrum.energy`` result.  Returns
+    (max_residual, scale) with scale = max|g| * max|coefficient|; the second
+    derivative is taken by central differences of the analytic g.
     """
-    entry = spectrum.energy(params, consts, q)
     eff = entry.eff
     state = wavefunctions.radial_state_of(entry, params.D)
     e = 2.0 * consts.mu * (entry.E + energy_offset - params.c) / consts.hbar**2
@@ -363,10 +363,12 @@ def radial_ode_residual(params, consts, q, *, r_lo=0.1, r_hi=20.0, n_pts=200,
     return float(np.max(np.abs(resid))), float(scale)
 
 
-def angular_ode_residual(params, consts, q, *, pad=0.1, n_pts=200):
-    """Max residual of the polar ODE for the analytic H over (pad, pi - pad)."""
-    entry = spectrum.energy(params, consts, q)
-    eff = entry.eff
+def angular_ode_residual(params, consts, entry, *, pad=0.1, n_pts=200):
+    """Max residual of the polar ODE for the analytic H over (pad, pi - pad).
+
+    ``entry`` is the state's ``spectrum.energy`` result.
+    """
+    q, eff = entry.quantum, entry.eff
     state = wavefunctions.angular_state(q.n, eff.m_prime, params.D)
     kappa = 2.0 * consts.mu * params.beta / consts.hbar**2
 
@@ -431,7 +433,7 @@ def verify_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalCons
                                          refinement_levels=refinement_levels),
                             q.n + 1)
         lam_fd = float(ang.richardson[q.n])
-        resid_a, scale_a = angular_ode_residual(params, consts, q)
+        resid_a, scale_a = angular_ode_residual(params, consts, entry)
         angular_checks[q.n, q.m] = (
             _check("angular_lambda", lam_fd, eff.Lambda, abs(lam_fd - eff.Lambda),
                    tol.lambda_abs, float(ang.est_error[q.n])),
@@ -448,7 +450,7 @@ def verify_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalCons
     E_fd = params.c + consts.hbar**2 * e_fd / (2.0 * consts.mu)
     E_target = entry.E + energy_offset
     scale = max(abs(E_target), abs(E_target - params.c))
-    resid, scale_r = radial_ode_residual(params, consts, q, energy_offset=energy_offset)
+    resid, scale_r = radial_ode_residual(params, consts, entry, energy_offset=energy_offset)
     return VerificationReport(checks=[
         lam_check,
         _check("radial_energy", E_fd, E_target, abs(E_fd - E_target),

@@ -64,6 +64,12 @@ class RadialState:
     D: int
     C: float
 
+    @property
+    def envelope_power(self) -> float:
+        """Power p of the large-r envelope r^p exp(-2 eps r) of R^2 r^(D-1),
+        which sets the decay-rule cutoff radius."""
+        return 2.0 * self.L + 2.0 + 2.0 * self.N
+
 
 def radial_state_of(entry: spectrum.SpectrumEntry, D: int) -> RadialState:
     """The normalized radial factor of an already computed spectrum entry."""
@@ -94,8 +100,7 @@ def radial_R(state: RadialState, r):
 
 def radial_norm_integral(state: RadialState, *, tol=1e-10) -> quadrature.QuadResult:
     """Quadrature of R^2 r^(D-1) over (0, r_max) with the decay-rule cutoff."""
-    envelope_power = 2.0 * state.L + 2.0 + 2.0 * state.N
-    r_max = quadrature.decay_cutoff(envelope_power, 2.0 * state.epsilon)
+    r_max = quadrature.decay_cutoff(state.envelope_power, 2.0 * state.epsilon)
 
     def integrand(r):
         R = radial_R(state, r)

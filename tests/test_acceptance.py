@@ -82,7 +82,7 @@ def test_nu_pipeline_rational_fidelity():
 
 
 def test_quantization_dual_path_1000_draws():
-    """Engine bisection equals the closed-form eps to relative 1e-10."""
+    """The engine's Brent root equals the closed-form eps to relative 1e-10."""
     rng = np.random.default_rng(77)
     worst = 0.0
     for _ in range(1000):
@@ -212,9 +212,10 @@ def test_wavefunction_contracts():
          spectrum.QuantumNumbers(2, 1, 0)),
     ]
     for params, q in cases:
-        resid, scale = oracle.radial_ode_residual(params, CONSTS, q)
+        entry = spectrum.energy(params, CONSTS, q)
+        resid, scale = oracle.radial_ode_residual(params, CONSTS, entry)
         ok &= resid <= 1e-6 * scale
-        resid, scale = oracle.angular_ode_residual(params, CONSTS, q)
+        resid, scale = oracle.angular_ode_residual(params, CONSTS, entry)
         ok &= resid <= 1e-6 * scale
 
     # radial norm within 1e-8

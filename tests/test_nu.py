@@ -154,6 +154,13 @@ class TestSelectBranch:
                              nu.branch_candidates(radial(2.0, 0.0, 1.0)))
         assert len(err.value.branches) == 2
 
+    def test_tau_zero_on_the_domain_end_is_outside(self):
+        # the float example has tau = 3.3e-16 - 0.0875 r on the wrong branch
+        sol = nu.solve(radial(0.1, 0.0, 0.04375), domain=(0.0, math.inf))
+        assert sol.branch.tau.c0 == pytest.approx(2.0)
+        sol = nu.solve(radial(F(1, 10), F(0), F(7, 160)), domain=(0, math.inf))
+        assert sol.branch.tau == Poly2(F(2), F(-7, 80), F(0))
+
     def test_all_positive_slopes_rejected(self):
         prob = radial(2.0, 0.0, 1.0)
         fake = [NUBranch(k=1.0, pi=Poly2(0.0, 1.0), tau=Poly2(0.0, 2.0), sign=+1),
@@ -204,15 +211,47 @@ class TestQuantization:
     def test_self_verification_runs(self):
         assert nu.quantize_epsilon(3.7, 4.2, 2, verify=True) > 0
 
-    def test_bisection_agrees_with_closed_form(self):
+    def test_bisection_agrees_with_closed_form(self, monkeypatch):
+        # the engine root also stays within a dozen engine runs per quantization
+        calls = []
+        solve = nu.solve
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(nu, "solve", counting)
         rng = np.random.default_rng(11)
         for _ in range(100):
             alpha = rng.uniform(0.1, 10.0)
             gamma = rng.uniform(0.0, 20.0)
             n = int(rng.integers(0, 11))
             closed = nu.quantize_epsilon(alpha, gamma, n)
+            calls.clear()
             numeric = nu.quantize_epsilon_bisect(alpha, gamma, n)
             assert abs(numeric - closed) <= 1e-10 * closed
+            assert len(calls) <= 12
+
+    def test_exact_endpoint_root_is_returned(self):
+        # 4*gamma + 1 = 0 and N = 0 put the root at the bracket end eps = alpha
+        for alpha in (0.1, 2.0, 3.7, 30.0):
+            assert nu.quantize_epsilon_bisect(alpha, -0.25, 0) == alpha
+
+    @pytest.mark.parametrize("k", [100.0, -100.0])
+    def test_no_sign_change_raises(self, monkeypatch, k):
+        # an engine whose mismatch k - 1 - 2N keeps one sign for every eps
+        branch = NUBranch(k=k, pi=Poly2(0.0, -1.0), tau=Poly2(1.0, -2.0), sign=-1)
+        monkeypatch.setattr(nu, "solve",
+                            lambda problem, *, domain=None: nu.NUSolution(problem, branch))
+        with pytest.raises(nu.NUError, match="no sign change"):
+            nu.quantize_epsilon_bisect(2.0, 1.0, 3)
+
+    def test_verified_s_wave_grid(self):
+        # gamma = 0: the wrong branch's tau zero sits at r = 0 up to roundoff
+        for alpha in (1e-4, 1e-3, 0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 10.0, 30.0):
+            for n in (0, 1, 5, 9):
+                eps = nu.quantize_epsilon(alpha, 0.0, n, verify=True)
+                assert eps == pytest.approx(alpha / (2 * n + 2), rel=1e-15)
 
 
 class TestExactMode:

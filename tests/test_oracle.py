@@ -130,14 +130,15 @@ class TestOdeResiduals:
              spectrum.QuantumNumbers(2, 0, 0)),
         ]
         for params, q in cases:
-            resid, scale = oracle.radial_ode_residual(params, CONSTS, q)
+            resid, scale = oracle.radial_ode_residual(
+                params, CONSTS, spectrum.energy(params, CONSTS, q))
             assert resid <= 1e-6 * scale
 
     def test_radial_residual_detects_wrong_energy(self):
         params = spectrum.PotentialParams(a=1.0)
         q = spectrum.QuantumNumbers(0, 0, 0)
-        resid, scale = oracle.radial_ode_residual(params, CONSTS, q,
-                                                  energy_offset=1e-2)
+        resid, scale = oracle.radial_ode_residual(
+            params, CONSTS, spectrum.energy(params, CONSTS, q), energy_offset=1e-2)
         assert resid > 1e-6 * scale
 
     def test_angular_residual_small_for_valid_states(self):
@@ -148,7 +149,8 @@ class TestOdeResiduals:
              spectrum.QuantumNumbers(0, 2, 2)),
         ]
         for params, q in cases:
-            resid, scale = oracle.angular_ode_residual(params, CONSTS, q)
+            resid, scale = oracle.angular_ode_residual(
+                params, CONSTS, spectrum.energy(params, CONSTS, q))
             assert resid <= 1e-6 * scale
 
 
