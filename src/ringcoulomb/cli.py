@@ -2,8 +2,8 @@
 
 Output is deterministic: fixed column order, shortest round-trip float
 formatting (repr), no timestamps.  Exit codes: 0 success, 1 a verification or
-reduction check failed, 2 invalid configuration (one diagnostic line per
-offending field on stderr).
+reduction check failed or the computation itself failed, 2 invalid
+configuration (one diagnostic line per offending field on stderr).
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ def _fmt(value) -> str:
 MAX_STATES = 10**6          # indices in one range; states in a spectrum or verify run
 MAX_SAMPLES = 10**6         # wavefunction nr * ntheta
 MAX_GRID_NODES = 2**20      # nodes on the finest verify grid
+MAX_DEGREE = 10**4          # wavefunction N and n: one numpy pass per polynomial degree
 
 
 def _parse_range(text: str, field: str, problems: list) -> list:
@@ -242,6 +243,9 @@ def _physics(cfg: dict, problems: list):
     if hbar <= 0:
         problems.append(("hbar", "must be positive, got %r" % hbar))
         hbar = 1.0
+    elif not 0 < hbar * hbar < math.inf:
+        problems.append(("hbar", "hbar^2 = %r is outside the float range" % (hbar * hbar)))
+        hbar = 1.0
     params = None
     if not problems:
         params = spectrum.PotentialParams(a=a, b=b, c=c, beta=beta, D=D)
@@ -321,28 +325,46 @@ _SPECTRUM_COLUMNS = ["N", "n", "m", "m_prime", "ell_prime", "L", "N_prime",
 
 def _cmd_spectrum(cfg: dict, problems: list) -> int:
     params, consts, meta_phys = _physics(cfg, problems)
-    ranges = _state_ranges(cfg, problems)
+    Ns, ns, ms = _state_ranges(cfg, problems)
     if problems:
         raise ConfigError(problems)
 
+    fmt = cfg.get("format", "csv")
+    if fmt == "json":
+        cell, template = _json_value, _json_row_template(_SPECTRUM_COLUMNS)
+    else:
+        cell, template = _fmt, ",".join(["%s"] * len(_SPECTRUM_COLUMNS))
+    # the indices of a state other than N and N' depend on (n, m) alone, so a
+    # block of states sharing (n, m) renders them once, into its own template
+    # (a rendered cell is a number, never holding a '%')
+    ok = cell("ok")
     rows = []
-    for N, n, m in itertools.product(*ranges):
-        q = spectrum.QuantumNumbers(N=N, n=n, m=m)
-        try:
-            entry = spectrum.energy(params, consts, q)
-        except spectrum.FallToCenter:
-            rows.append((N, n, m, None, None, None, None, None, None, "fall-to-center"))
-            continue
-        eff = entry.eff
-        rows.append((N, n, m, eff.m_prime, eff.ell_prime, eff.L, eff.N_prime,
-                     entry.epsilon, entry.E, "ok"))
-    # by E, with fall-to-center rows (E is None) last
-    rows.sort(key=lambda r: (r[8] is None, r[8] if r[8] is not None else 0.0,
-                             r[0], r[1], r[2]))
+    for n, m in itertools.product(ns, ms):
+        block_template = None
+        for N in Ns:
+            q = spectrum.QuantumNumbers(N=N, n=n, m=m)
+            try:
+                entry = spectrum.energy(params, consts, q)
+            except spectrum.FallToCenter:
+                text = template % tuple(map(cell, (N, n, m, None, None, None, None,
+                                                   None, None, "fall-to-center")))
+                rows.append((True, 0.0, N, n, m, text))
+                continue
+            eff = entry.eff
+            if block_template is None:
+                block_template = template % (
+                    "%s", *map(cell, (n, m, eff.m_prime, eff.ell_prime, eff.L)),
+                    "%s", "%s", "%s", ok)
+            text = block_template % (cell(N), cell(entry.N_prime), cell(entry.epsilon),
+                                     cell(entry.E))
+            rows.append((False, entry.E, N, n, m, text))
+    # by E, with fall-to-center rows last; (N, n, m) settles every tie, so
+    # the rendered text is never compared
+    rows.sort()
 
     meta = {"command": "spectrum", **meta_phys,
             "N": cfg.get("N", "0"), "n": cfg.get("n", "0"), "m": cfg.get("m", "0")}
-    _emit(_table(cfg.get("format", "csv"), meta, _SPECTRUM_COLUMNS, rows), cfg.get("out"))
+    _emit(_frame(fmt, meta, _SPECTRUM_COLUMNS, [row[5] for row in rows]), cfg.get("out"))
     return 0
 
 
@@ -365,6 +387,9 @@ def _cmd_wavefunction(cfg: dict, problems: list) -> int:
     m = _single_index(cfg, "m", problems)
     nr = _integer(cfg, "nr", 100, problems)
     ntheta = _integer(cfg, "ntheta", 50, problems)
+    for key, degree in (("N", N), ("n", n)):
+        if degree > MAX_DEGREE:
+            problems.append((key, "polynomial degree %d is more than %d" % (degree, MAX_DEGREE)))
     if nr < 2:
         problems.append(("nr", "need at least 2 radial samples"))
     if ntheta < 2:
@@ -393,7 +418,7 @@ def _cmd_wavefunction(cfg: dict, problems: list) -> int:
     meta = {"command": "wavefunction", **meta_phys, "N": N, "n": n, "m": m,
             "E": state.entry.E, "epsilon": state.entry.epsilon,
             "m_prime": eff.m_prime, "ell_prime": eff.ell_prime, "L": eff.L,
-            "N_prime": eff.N_prime, "C": state.radial.C,
+            "N_prime": state.entry.N_prime, "C": state.radial.C,
             "angular_norm": state.angular.norm,
             "angular_norm_adjusted": str(state.angular.adjusted).lower(),
             "nr": nr, "ntheta": ntheta, "r_max": r_max,
@@ -453,6 +478,12 @@ def _cmd_verify(cfg: dict, problems: list) -> int:
     elif max(n_points, oracle.ANGULAR_MIN_POINTS) > MAX_GRID_NODES >> (levels - 1):
         problems.append(("levels", "%d levels need more than %d nodes on the finest grid"
                          % (levels, MAX_GRID_NODES)))
+    # a solver finds as many levels as its base grid has nodes, at most
+    for key, indices, nodes in (("N", ranges[0], n_points),
+                                ("n", ranges[1], max(n_points, oracle.ANGULAR_MIN_POINTS))):
+        if indices and indices[-1] >= nodes >= oracle.MIN_POINTS:
+            problems.append((key, "must be below %d, the nodes of its base grid; got %d"
+                             % (nodes, indices[-1])))
     if problems:
         raise ConfigError(problems)
 
@@ -541,6 +572,8 @@ def _cmd_reduce(cfg: dict, problems: list) -> int:
         problems.append(("mu", "must be positive"))
     if hbar <= 0:
         problems.append(("hbar", "must be positive"))
+    elif not 0 < hbar * hbar < math.inf:
+        problems.append(("hbar", "hbar^2 = %r is outside the float range" % (hbar * hbar)))
     seed = None
     if cfg.get("negative_control") is not None:
         seed = _integer(cfg, "negative_control", 0, problems)
@@ -562,7 +595,9 @@ def _cmd_reduce(cfg: dict, problems: list) -> int:
         row["abs_diff"] = diff
         limit = _REL_TOL_REDUCE * abs(row["general"])
         row["status"] = "ok" if diff <= limit else "mismatch"
-        worst = max(worst, diff / abs(row["general"]))
+        # an energy that underflows to 0 is matched only exactly
+        worst = max(worst, diff / abs(row["general"]) if row["general"]
+                    else math.inf if diff else 0.0)
 
     meta = {"command": "reduce", "case": case, "mu": mu, "hbar": hbar,
             "rel_tol": _REL_TOL_REDUCE, "worst_rel_diff": worst}

@@ -43,10 +43,11 @@ estimate is the difference between the last two extrapolation stages.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from . import spectrum, wavefunctions
 
@@ -61,6 +62,10 @@ class GridTooCoarse(OracleError):
 
 class SpectrumPollution(OracleError):
     """An eigenvalue moved by more than its spectral gap between refinement levels."""
+
+
+class GridOutOfRange(OracleError):
+    """At these parameters a grid or its matrix leaves the range of a float."""
 
 
 #: smallest base grid and fewest refinement levels a GridSpec accepts
@@ -101,6 +106,8 @@ def radial_grid_for(alpha: float, gamma: float, k_states: int, *,
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     eps_slowest = alpha / (2.0 * (k_states - 1) + 1.0 + math.sqrt(4.0 * gamma + 1.0))
+    if not eps_slowest > span / sys.float_info.max:
+        raise GridOutOfRange("decay rate %r is too slow for a finite grid" % eps_slowest)
     return GridSpec(x_min=0.0, x_max=span / eps_slowest,
                     n_points=n_points, refinement_levels=refinement_levels)
 
@@ -125,8 +132,21 @@ def _matched_centrifugal(s: float, j: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lowest(diag, off, k):
+    """The k lowest eigenvalues of the symmetric tridiagonal (diag, off)."""
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise GridOutOfRange("the grid matrix has entries outside the float range")
+    try:
+        return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
+                                eigvals_only=True)
+    except LinAlgError as exc:
+        raise GridOutOfRange("the eigensolver failed at this scale: %s" % exc) from exc
+
+
 def _radial_level(alpha, gamma, x_min, x_max, n, k):
     h = (x_max - x_min) / (n + 1)
+    if not h * h > 0.0:
+        raise GridOutOfRange("grid step %r squared underflows" % h)
     j = np.arange(1, n + 1)
     r = x_min + j * h
     s = 0.5 * (1.0 + math.sqrt(4.0 * gamma + 1.0))
@@ -140,9 +160,7 @@ def _radial_level(alpha, gamma, x_min, x_max, n, k):
         centrifugal = gamma / (r * r)
     diag = 2.0 / (h * h) + centrifugal - alpha / r
     off = np.full(n - 1, -1.0 / (h * h))
-    evals = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
-                             eigvals_only=True)
-    return evals, float(np.max(np.abs(diag)))
+    return _lowest(diag, off, k), float(np.max(np.abs(diag)))
 
 
 def _matched_pole_m2(mp: float, n_cells: int) -> np.ndarray:
@@ -193,9 +211,7 @@ def _angular_level(m2, kappa, x_min, x_max, n, k):
     q = (m2_eff - kappa * w * w) / (w * w)
     diag = (p_bound[1:] + p_bound[:-1]) / (h * h * w) + q
     off = -p_bound[1:n] / (h * h * np.sqrt(w[:-1] * w[1:]))
-    evals = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
-                             eigvals_only=True)
-    return evals, float(np.max(np.abs(diag)))
+    return _lowest(diag, off, k), float(np.max(np.abs(diag)))
 
 
 def _check_level_convergence(levels, noise):

@@ -27,6 +27,7 @@ immutable inputs; the finite-difference checks live in ``oracle``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,10 @@ class NoBoundState(SpectrumError):
     """a = 0 removes the Coulomb well; nothing binds below c."""
 
 
+class OutOfRange(SpectrumError):
+    """Valid parameters whose arithmetic leaves the range of a float."""
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Reduced mass and action unit in any consistent unit system."""
@@ -53,6 +58,9 @@ class PhysicalConstants:
     def __post_init__(self):
         if not (0 < self.mu < math.inf and 0 < self.hbar < math.inf):
             raise ValueError("mu and hbar must be positive and finite")
+        if not 0 < self.hbar * self.hbar < math.inf:
+            # every formula divides by hbar^2
+            raise ValueError("hbar^2 = %r is outside the float range" % (self.hbar * self.hbar))
 
 
 @dataclass(frozen=True)
@@ -94,18 +102,15 @@ class QuantumNumbers:
 
 @dataclass(frozen=True)
 class EffectiveIndices:
-    """Derived real indices for one (N, n, m) state."""
+    """Derived real indices of a state; none of them depends on N."""
 
     m_prime: float
     ell_prime: float
     Lambda: float      # separation constant l(l + D - 2)
-    ell: float         # root of l(l+D-2) = Lambda with l >= -(D-2)/2; nan if complex
-    M: float           # D + 2*ell
     nu_tilde: float    # (M-1)(M-3)/4 via the identity 4*nu_t + 1 = (D-2)^2 + 4*Lambda
     gamma: float
     alpha: float
     L: float           # radial power index
-    N_prime: float     # N + L + 1
 
     @property
     def domain_extension(self) -> bool:
@@ -120,6 +125,7 @@ class SpectrumEntry:
     epsilon: float
     quantum: QuantumNumbers
     eff: EffectiveIndices
+    N_prime: float     # N + L + 1
     domain_extension: bool = False
 
 
@@ -164,26 +170,57 @@ def radial_params(params: PotentialParams, consts: PhysicalConstants, Lambda: fl
     return alpha, gamma, nu_t, D + 2.0 * ell
 
 
-def effective_indices(params: PotentialParams, consts: PhysicalConstants,
-                      q: QuantumNumbers) -> EffectiveIndices:
-    mu, hbar = consts.mu, consts.hbar
-    D = params.D
-    mp = m_prime(q.m, params.beta, consts)
-    lp = ell_prime(q.n, mp, D)
-    Lambda = separation_constant(lp, D, params.beta, consts)
-    alpha, gamma, nu_t, M = radial_params(params, consts, Lambda)
-    ell = 0.5 * (M - D)
+#: (n, m) parts the memo keeps.  The one caller that repeats an (n, m) is the
+#: spectrum table, which walks N inside each (n, m), so only the latest entry
+#: is reused: its hits are the same at 1 entry as at 64, and single states
+#: (densities, verification) gain nothing from more
+NM_MEMO_SIZE = 1
+
+
+@functools.lru_cache(maxsize=NM_MEMO_SIZE, typed=True)
+def _nm_part(a, b, beta, D, mu, hbar, n, m):
+    """The indices of (n, m) and sqrt(4*gamma + 1): all of a state but N.
+
+    ``typed`` keeps int, float and numpy scalars of equal value apart, since
+    each keeps its own type through the arithmetic.
+    """
+    params = PotentialParams(a=a, b=b, beta=beta, D=D)
+    consts = PhysicalConstants(mu=mu, hbar=hbar)
+    mp = m_prime(m, beta, consts)
+    lp = ell_prime(n, mp, D)
+    Lambda = separation_constant(lp, D, beta, consts)
+    alpha, gamma, nu_t, _ = radial_params(params, consts, Lambda)
     # radial power index; its radicand equals 4*gamma + 1 but is grouped
     # through l' and (b - beta), which is the independent arithmetic path
     # used by the Coulombic energy form
-    rad = (D - 2) ** 2 + 4.0 * lp * (lp + D - 2.0) \
-        + 8.0 * mu * (params.b - params.beta) / hbar**2
+    rad = (D - 2) ** 2 + 4.0 * lp * (lp + D - 2.0) + 8.0 * mu * (b - beta) / hbar**2
     if rad < 0.0:
         raise FallToCenter("radial power radicand %r < 0" % rad)
+    if (a and not 0.0 < alpha < math.inf) or not math.isfinite(rad):
+        raise OutOfRange("alpha = %r, 4*gamma + 1 = %r: outside the float range"
+                         % (alpha, rad))
     L = 0.5 * (math.sqrt(rad) - 1.0)
-    return EffectiveIndices(
-        m_prime=mp, ell_prime=lp, Lambda=Lambda, ell=ell, M=M,
-        nu_tilde=nu_t, gamma=gamma, alpha=alpha, L=L, N_prime=q.N + L + 1.0)
+    eff = EffectiveIndices(m_prime=mp, ell_prime=lp, Lambda=Lambda, nu_tilde=nu_t,
+                           gamma=gamma, alpha=alpha, L=L)
+    return eff, math.sqrt(4.0 * gamma + 1.0)
+
+
+def _nm_lookup(params: PotentialParams, consts: PhysicalConstants, q: QuantumNumbers):
+    args = (params.a, params.b, params.beta, params.D, consts.mu, consts.hbar, q.n, q.m)
+    # a = -0.0 keys like 0.0 but flips the sign of alpha; no other argument's
+    # signed zero reaches a result, so only a = 0 bypasses the memo
+    return _nm_part(*args) if params.a else _nm_part.__wrapped__(*args)
+
+
+def effective_indices(params: PotentialParams, consts: PhysicalConstants,
+                      q: QuantumNumbers) -> EffectiveIndices:
+    """The indices of q's (n, m), computed once per (n, m) while it stays memoized."""
+    return _nm_lookup(params, consts, q)[0]
+
+
+def principal_number(N: int, eff: EffectiveIndices) -> float:
+    """N' = N + L + 1, the one index that reads N."""
+    return N + eff.L + 1.0
 
 
 def energy(params: PotentialParams, consts: PhysicalConstants,
@@ -195,12 +232,12 @@ def energy(params: PotentialParams, consts: PhysicalConstants,
     """
     if params.a == 0:
         raise NoBoundState("a = 0: the potential has no Coulomb well")
-    eff = effective_indices(params, consts, q)
-    den = 2 * q.N + 1 + math.sqrt(4.0 * eff.gamma + 1.0)
+    eff, root = _nm_lookup(params, consts, q)
+    den = 2 * q.N + 1 + root
     eps = eff.alpha / den
     E = params.c - consts.hbar**2 * eps * eps / (2.0 * consts.mu)
     return SpectrumEntry(
-        E=E, epsilon=eps, quantum=q, eff=eff,
+        E=E, epsilon=eps, quantum=q, eff=eff, N_prime=principal_number(q.N, eff),
         domain_extension=params.domain_extension or eff.domain_extension)
 
 
@@ -214,16 +251,15 @@ def energy_coulombic_form(params: PotentialParams, consts: PhysicalConstants,
     """
     if params.a == 0:
         raise NoBoundState("a = 0: the potential has no Coulomb well")
-    eff = effective_indices(params, consts, q)
-    return params.c - consts.mu * params.a**2 / (
-        2.0 * consts.hbar**2 * eff.N_prime**2)
+    Np = principal_number(q.N, effective_indices(params, consts, q))
+    return params.c - consts.mu * params.a**2 / (2.0 * consts.hbar**2 * Np**2)
 
 
 def epsilon_coulombic_form(params: PotentialParams, consts: PhysicalConstants,
                            q: QuantumNumbers) -> float:
     """Decay rate in the principal-number form eps = mu a / (hbar^2 N')."""
-    eff = effective_indices(params, consts, q)
-    return consts.mu * params.a / (consts.hbar**2 * eff.N_prime)
+    Np = principal_number(q.N, effective_indices(params, consts, q))
+    return consts.mu * params.a / (consts.hbar**2 * Np)
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,20 @@ def log_normalization_C(N: int, L: float, epsilon: float) -> float:
                   - math.lgamma(N + 2.0 * L + 2.0))
 
 
+def _exp(x: float, what: str) -> float:
+    """exp(x), or OutOfRange where it overflows a float (or x is nan)."""
+    try:
+        value = math.exp(x)
+    except OverflowError:
+        value = math.inf
+    if not value < math.inf:
+        raise spectrum.OutOfRange("%s = exp(%r) overflows a float" % (what, x))
+    return value
+
+
 def normalization_C(N: int, L: float, epsilon: float) -> float:
     """Radial normalization constant C = exp(log_normalization_C)."""
-    return math.exp(log_normalization_C(N, L, epsilon))
+    return _exp(log_normalization_C(N, L, epsilon), "C")
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,8 @@ class RadialState:
 def radial_state_of(entry: spectrum.SpectrumEntry, D: int) -> RadialState:
     """The normalized radial factor of an already computed spectrum entry."""
     N, L = entry.quantum.N, entry.eff.L
+    if not entry.epsilon > 0.0:
+        raise spectrum.OutOfRange("epsilon = %r: the decay rate underflows" % entry.epsilon)
     return RadialState(N=N, L=L, epsilon=entry.epsilon, D=D,
                        C=normalization_C(N, L, entry.epsilon))
 
@@ -139,7 +152,7 @@ def angular_state(n: int, mp: float, D: int = 3) -> AngularState:
     if mp < 0:
         raise ValueError("m_prime must be nonnegative")
     lp = spectrum.ell_prime(n, mp, D)
-    shape = math.exp(log_jacobi_norm(n, mp))
+    shape = _exp(log_jacobi_norm(n, mp), "h_n")
     if lp - mp > -1.0:
         printed = math.exp(0.5 * (
             math.log(2.0 * lp + 1.0) + math.lgamma(lp - mp + 1.0)
@@ -153,6 +166,8 @@ def angular_state(n: int, mp: float, D: int = 3) -> AngularState:
     if math.isfinite(printed_integral) and abs(printed_integral - 1.0) <= NORM_CHECK_TOL:
         norm = printed
         adjusted = False
+    elif shape == 0.0:
+        raise spectrum.OutOfRange("h_n = exp(%r) underflows to 0" % log_jacobi_norm(n, mp))
     else:
         norm = 1.0 / math.sqrt(shape)
         adjusted = True

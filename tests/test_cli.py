@@ -1,11 +1,15 @@
 """CLI contract tests: formats, determinism, exit codes, config handling."""
 
+import contextlib
+import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringcoulomb import cli, spectrum
 
@@ -285,12 +289,34 @@ class TestBadInput:
         (["verify", "--levels", "30"], "levels"),
         (["verify", "--points", "1500", "--levels", "11"], "levels"),
         (["verify", "--points", "64", "--levels", "12"], "levels"),  # polar grid floor
+        # more levels than the base grid holds nodes; a polynomial degree past the cap
+        (["verify", "--N", "1500"], "N"),
+        (["verify", "--n", "0..2000", "--points", "64"], "n"),
+        (["wavefunction", "--N", "99999999999999999999"], "N"),
+        # every formula divides by hbar^2
+        (["spectrum", "--hbar", "1e308"], "hbar"),
+        (["reduce", "--case", "kratzer", "--hbar", "1e-300"], "hbar"),
     ])
     def test_flags(self, argv, field, capsys):
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert ("error: %s: " % field) in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--a", "1e308"], "alpha = inf"),
+        (["wavefunction", "--a", "1e300", "--b", "1e300"], "C = exp("),
+        (["wavefunction", "--beta", "1e100", "--nr", "3", "--ntheta", "3"], "h_n = exp("),
+        (["verify", "--a", "1e200", "--points", "64", "--levels", "2"], "squared underflows"),
+        (["verify", "--beta", "1e308", "--points", "64", "--levels", "2"],
+         "outside the float range"),
+    ])
+    def test_extreme_parameters_fail_with_a_message(self, argv, message, capsys):
+        # valid inputs whose computation leaves the float range end in a
+        # typed error of the library, never in a traceback
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
 
     @pytest.mark.parametrize("command, config, field", [
         ("spectrum", {"a": "x"}, "a"),
@@ -348,3 +374,107 @@ class TestConfigHandling:
         assert run(["verify", "--config", str(cfg)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["meta"]["tol_energy"] == 1e-3
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the configuration surface
+# ---------------------------------------------------------------------------
+
+_FLAGS = {
+    "spectrum": ("a", "b", "c", "beta", "D", "mu", "hbar", "format", "N", "n", "m"),
+    "wavefunction": ("a", "b", "c", "beta", "D", "mu", "hbar", "format", "N", "n", "m",
+                     "nr", "ntheta", "r-max"),
+    "verify": ("a", "b", "c", "beta", "D", "mu", "hbar", "format", "N", "n", "m",
+               "tol-energy", "tol-lambda", "tol-residual", "points", "levels",
+               "perturb-energy"),
+    "reduce": ("a", "b", "c", "beta", "D", "mu", "hbar", "format", "case",
+               "negative-control"),
+}
+_CONFIG_KEYS = sorted({key.replace("-", "_") for keys in _FLAGS.values() for key in keys}
+                      | {"typo"})
+# huge, tiny and negative numbers that parse, and text that does not
+_NUMBERS = ["0", "-0.0", "0.5", "1", "2.5", "-3", "1e-300", "1e300", "1e308", "-1e308",
+            "5e-324", "99999999999999999999"]
+_JUNK = ["nan", "-nan", "inf", "-inf", "1e400", "", " ", "x", "1e", "0x10", str(2**63),
+         "..", "1..", "..2", "a..b", "1..2..3"]
+_CHOICES = {"format": ["csv", "json"], "case": ["cheng-dai", "kratzer", "ddim", "coulomb-ring"],
+            "D": ["2", "3", "5"], "nr": ["2", "7"], "ntheta": ["2", "5"],
+            "points": ["64", "200"], "levels": ["2", "3"], "negative-control": ["0", "7"]}
+# lo..hi with hi - lo in -2..1: empty, reversed, single and pair ranges, a few
+# states at most, so that every accepted run stays cheap
+_RANGES = st.builds(lambda lo, width: "%d..%d" % (lo, lo + width),
+                    st.integers(-2, 4), st.integers(-2, 1))
+_ANY_TEXT = st.sampled_from(_NUMBERS + _JUNK + sorted({v for vs in _CHOICES.values()
+                                                       for v in vs}))
+
+
+def _text_for(key):
+    """A value that fits the flag about half of the time."""
+    fits = _RANGES if key in ("N", "n", "m") else st.sampled_from(_CHOICES.get(key, _NUMBERS))
+    return st.one_of(fits, _ANY_TEXT)
+
+
+_JSON_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(10**18, 10**30),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -2.5]),
+    st.lists(st.integers(0, 2), max_size=2), st.just({"nested": 1}))
+_FIELD_LINE = re.compile(r"^(\S+ )*error: (argument )?[-\w]+: \S", re.M)
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    # sorted, because a set's order of strings changes from process to process
+    flags = {key: draw(_text_for(key)) for key in sorted(draw(
+        st.sets(st.sampled_from(_FLAGS[command]), max_size=4)))}
+    config = draw(st.one_of(
+        st.none(),
+        st.sampled_from(["[1, 2]", "{not json", "7", ""]),
+        st.sets(st.sampled_from(_CONFIG_KEYS), max_size=3).flatmap(
+            lambda keys: st.fixed_dictionaries(
+                {key: st.one_of(_text_for(key.replace("_", "-")), _JSON_JUNK)
+                 for key in sorted(keys)}))))
+    return command, flags, config
+
+
+def _check_exit_contract(argv):
+    """Exit 0, 1 or 2, never a traceback, and exit 2 names the offending field."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:   # argparse rejects a flag value
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert _FIELD_LINE.search(err.getvalue()), err.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(_invocations())
+def test_any_configuration_exits_cleanly(tmp_path_factory, invocation):
+    """Flags and config values of every kind, valid or not."""
+    command, flags, config = invocation
+    argv = [command] + ["--%s=%s" % item for item in flags.items()]
+    if config is not None:
+        path = tmp_path_factory.mktemp("fuzz") / "run.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv.append("--config=%s" % path)
+    _check_exit_contract(argv)
+
+
+_SMALL_RUNS = {"spectrum": [], "wavefunction": ["--nr", "5", "--ntheta", "5"],
+               "verify": ["--points", "64", "--levels", "2"], "reduce": ["--case", "ddim"]}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.sampled_from(sorted(_SMALL_RUNS)),
+       st.dictionaries(st.sampled_from(["a", "b", "beta", "mu", "hbar"]),
+                       st.sampled_from(["5e-324", "1e-300", "1e-150", "0.5", "1e150",
+                                        "1e300", "1e308"]), min_size=1, max_size=3))
+def test_extreme_magnitudes_exit_cleanly(command, physics):
+    """Valid parameters at the ends of the float range reach the computation."""
+    _check_exit_contract([command, *_SMALL_RUNS[command]]
+                         + ["--%s=%s" % item for item in physics.items()])

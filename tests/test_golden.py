@@ -24,6 +24,9 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
 
 _SPECTRUM = ["spectrum", "--a", "1.5", "--b", "0.3", "--beta", "1.1", "--D", "4",
              "--N", "0..2", "--n", "0..2", "--m", "0..2"]
+# 81 (n, m) pairs, more than spectrum.NM_MEMO_SIZE holds, so the memo evicts
+_SPECTRUM_MANY_NM = ["spectrum", "--a", "0.9", "--b", "0.4", "--c", "-0.25", "--beta",
+                     "0.7", "--D", "5", "--N", "0..1", "--n", "0..8", "--m", "0..8"]
 # beta = 0, m = 0: the printed angular constant normalizes the state
 _WAVE_PRINTED = ["wavefunction", "--a", "1.3", "--b", "0.2", "--N", "1", "--n", "1",
                  "--m", "0", "--nr", "41", "--ntheta", "21"]
@@ -40,6 +43,8 @@ _VERIFY_RANGE = ["verify", "--a", "1.2", "--b", "0.3", "--beta", "1.5", "--D", "
 INVOCATIONS = {
     "spectrum.csv": _SPECTRUM + ["--format", "csv"],
     "spectrum.json": _SPECTRUM + ["--format", "json"],
+    "spectrum_many_nm.csv": _SPECTRUM_MANY_NM + ["--format", "csv"],
+    "spectrum_many_nm.json": _SPECTRUM_MANY_NM + ["--format", "json"],
     "spectrum_empty.csv": ["spectrum", "--a", "1", "--N", "2..1"],
     "spectrum_empty.json": ["spectrum", "--a", "1", "--N", "2..1", "--format", "json"],
     "wavefunction_printed.csv": _WAVE_PRINTED + ["--format", "csv"],

@@ -102,6 +102,25 @@ class TestGridSpec:
             GridSpec(x_min=0.0, x_max=1.0, refinement_levels=1)
 
 
+class TestGridOutOfRange:
+    """Grids or matrices beyond the float range raise GridOutOfRange."""
+
+    def test_decay_too_slow_for_a_finite_grid(self):
+        with pytest.raises(oracle.GridOutOfRange, match="finite grid"):
+            oracle.radial_grid_for(1e-320, 1e10, 1)
+
+    def test_grid_step_underflows(self):
+        grid = oracle.radial_grid_for(2e200, 0.0, 1, n_points=64, refinement_levels=2)
+        with pytest.raises(oracle.GridOutOfRange, match="underflows"):
+            oracle.radial_eigen(2e200, 0.0, grid, 1)
+
+    def test_matrix_entries_beyond_a_float(self):
+        grid = oracle.angular_grid(n_points=64, refinement_levels=2)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(oracle.GridOutOfRange, match="float range"):
+            oracle.angular_eigen(0, 1e308, spectrum.PhysicalConstants(mu=2.0), grid, 1)
+
+
 class TestConvergenceGuards:
     def test_grid_too_coarse_on_growing_differences(self):
         levels = [np.array([1.0]), np.array([1.1]), np.array([1.4])]

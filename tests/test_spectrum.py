@@ -1,7 +1,10 @@
 """Tests for the closed-form spectrum and its limiting cases."""
 
+import dataclasses
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -221,6 +224,88 @@ class TestEnergy:
         assert entry.E == pytest.approx(-2.0 / (2 * 0.25), rel=1e-12)
 
 
+def _leaf_types(value):
+    """The type of every scalar inside a (nested) dataclass."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_leaf_types(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return type(value)
+
+
+class TestNmMemo:
+    """A memo hit returns what a miss computes: equal values, the same types."""
+
+    PARAMS = PotentialParams(a=1.3, b=0.4, c=-0.2, beta=0.7, D=5)
+
+    def _cold(self, params, consts, q):
+        spectrum._nm_part.cache_clear()
+        return spectrum.energy(params, consts, q)
+
+    def test_cold_and_warm_calls_agree(self):
+        q = QuantumNumbers(2, 3, 1)
+        cold = self._cold(self.PARAMS, CONSTS, q)
+        warm = spectrum.energy(self.PARAMS, CONSTS, q)
+        assert spectrum._nm_part.cache_info().hits >= 1
+        assert warm == cold and _leaf_types(warm) == _leaf_types(cold)
+
+    def test_grid_order_does_not_matter(self):
+        # more (n, m) pairs than the memo holds, so both orders evict
+        Ns, nms = range(3), list(itertools.product(range(10), range(10)))
+        assert len(nms) > spectrum.NM_MEMO_SIZE
+        spectrum._nm_part.cache_clear()
+        by_N = {(N, n, m): spectrum.energy(self.PARAMS, CONSTS, QuantumNumbers(N, n, m))
+                for N in Ns for n, m in nms}
+        spectrum._nm_part.cache_clear()
+        by_nm = {(N, n, m): spectrum.energy(self.PARAMS, CONSTS, QuantumNumbers(N, n, m))
+                 for n, m in nms for N in Ns}
+        assert spectrum._nm_part.cache_info().currsize == spectrum.NM_MEMO_SIZE
+        assert by_N == by_nm
+        assert all(_leaf_types(by_N[key]) == _leaf_types(by_nm[key]) for key in by_N)
+
+    @pytest.mark.parametrize("cast", [np.float64, int], ids=["float64", "int"])
+    def test_other_scalar_types_get_their_own_entries(self, cast):
+        q = QuantumNumbers(1, 2, 2)
+        fields = dict(a=2.0, b=1.0, c=0.0, beta=3.0, D=4)
+        as_float = PotentialParams(**fields)
+        as_cast = PotentialParams(**{k: v if k == "D" else cast(v) for k, v in fields.items()})
+        consts_cast = PhysicalConstants(mu=cast(1.0), hbar=cast(1.0))
+        expected = self._cold(as_cast, consts_cast, q)
+        float_entry = self._cold(as_float, CONSTS, q)
+        got = spectrum.energy(as_cast, consts_cast, q)   # the float entry is warm
+        assert got == float_entry == expected
+        assert _leaf_types(got) == _leaf_types(expected)
+        assert got.eff is not float_entry.eff
+
+    def test_signed_zero_coulomb_strength_keeps_its_sign(self):
+        q = QuantumNumbers(0, 1, 1)
+        for a in (0.0, -0.0, 0.0):
+            eff = spectrum.effective_indices(dataclasses.replace(self.PARAMS, a=a), CONSTS, q)
+            assert math.copysign(1.0, eff.alpha) == math.copysign(1.0, a)
+
+
+_MP_N = (0, 10**3, 10**6)
+_MP_NM = (0, 10**3, 10**5)
+
+
+@pytest.mark.parametrize("D", [2, 3, 10])
+@pytest.mark.parametrize("beta", [0.0, 1e-8, 1.0, 1e4, 1e8])
+def test_energy_matches_50_digit_reference(D, beta):
+    """E = -(2a / (2N + 1 + sqrt(4 gamma + 1)))^2 / 2 at mu = hbar = 1, c = 0, with
+    4 gamma + 1 = (D-2)^2 + 4 (n+m')(n+m'+1) - 8 beta + 8 b, evaluated at 50 digits."""
+    a = 1.0
+    worst = 0.0
+    with mpmath.workdps(50):
+        for b, N, n, m in itertools.product((0.0, 0.7, 1e4), _MP_N, _MP_NM, _MP_NM):
+            entry = spectrum.energy(PotentialParams(a=a, b=b, beta=beta, D=D), CONSTS,
+                                    QuantumNumbers(N, n, m))
+            mp = mpmath.sqrt(m * m + 2 * mpmath.mpf(beta))
+            four_gamma_1 = ((D - 2) ** 2 + 4 * (n + mp) * (n + mp + 1)
+                            - 8 * mpmath.mpf(beta) + 8 * mpmath.mpf(b))
+            ref = -(2 * mpmath.mpf(a) / (2 * N + 1 + mpmath.sqrt(four_gamma_1))) ** 2 / 2
+            worst = max(worst, float(abs((entry.E - ref) / ref)))
+    # the worst case, about 3e-12, is Lambda's cancellation at beta = 1e8
+    assert worst <= 1e-11
+
+
 class TestReductions:
     def test_cheng_dai_dual_path(self):
         for De, re, beta in [(1.0, 1.0, 0.0), (1.0, 1.0, 2.0), (0.7, 1.3, 1.1)]:
@@ -309,3 +394,31 @@ class TestValidation:
     def test_non_finite_constants_rejected(self, field, value):
         with pytest.raises(ValueError):
             PhysicalConstants(**{field: value})
+
+    @pytest.mark.parametrize("hbar", [1e200, 1e-200])
+    def test_hbar_squared_must_be_a_float(self, hbar):
+        # hbar itself is finite, but every formula divides by hbar^2
+        with pytest.raises(ValueError, match="hbar"):
+            PhysicalConstants(hbar=hbar)
+
+
+class TestOutOfRange:
+    """Valid inputs whose arithmetic leaves the float range raise a typed error."""
+
+    @pytest.mark.parametrize("a, mu", [(1e308, 1.0), (5e-324, 0.1)])
+    def test_alpha_beyond_a_float(self, a, mu):
+        # 2 mu a / hbar^2 overflows to inf or underflows to 0
+        with pytest.raises(spectrum.OutOfRange, match="alpha"):
+            spectrum.energy(PotentialParams(a=a), PhysicalConstants(mu=mu),
+                            QuantumNumbers(0, 0, 0))
+
+    def test_ring_strength_beyond_a_float(self):
+        # 2 mu beta / hbar^2 = inf makes m' infinite and 4*gamma + 1 nan
+        with pytest.raises(spectrum.OutOfRange):
+            spectrum.energy(PotentialParams(a=1.0, beta=1e308), PhysicalConstants(mu=2.0),
+                            QuantumNumbers(0, 0, 0))
+
+    def test_a_zero_still_has_indices(self):
+        eff = spectrum.effective_indices(PotentialParams(a=0.0), CONSTS, QuantumNumbers(0, 1, 0))
+        assert eff.alpha == 0.0
+

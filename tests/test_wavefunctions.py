@@ -54,6 +54,20 @@ class TestNormalizationConstant:
         with pytest.raises(ValueError):
             wf.normalization_C(0, 0.0, 0.0)
 
+    def test_overflow(self):
+        # log C is fine, but C itself overflows; a C that underflows to 0
+        # stays a float, and the CLI's density check reports it
+        with pytest.raises(spectrum.OutOfRange, match="C = exp"):
+            wf.normalization_C(0, 1e3, 1e300)
+        assert wf.normalization_C(0, 1e3, 1e-300) == 0.0
+
+    def test_underflowed_decay_rate(self):
+        entry = spectrum.energy(spectrum.PotentialParams(a=1e-300, b=1e100),
+                                spectrum.PhysicalConstants(), spectrum.QuantumNumbers(0, 0, 0))
+        assert entry.epsilon == 0.0
+        with pytest.raises(spectrum.OutOfRange, match="epsilon"):
+            wf.radial_state_of(entry, 3)
+
     @mpmath.workdps(50)
     def test_against_mpmath(self):
         # C**2 = (2 eps)**(2L+3) N! / (2 (N+L+1) Gamma(N+2L+2)), compared
