@@ -12,6 +12,10 @@ Layout:
 - :mod:`ringcoulomb.oracle` -- finite-difference Sturm-Liouville eigensolvers
   and state verification
 - :mod:`ringcoulomb.cli` -- the ``ringcoulomb`` command
+
+numpy is the one import-time dependency.  scipy is imported inside the
+oracle's eigensolver call, so it loads on the first solve (``verify``), not
+on ``import ringcoulomb``.
 """
 
 __version__ = "0.1.0"

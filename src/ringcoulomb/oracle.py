@@ -4,6 +4,8 @@ These solvers verify the closed-form spectrum without sharing any algebra
 with the analytic modules: they discretize the separated equations directly
 and read eigenvalues off symmetric tridiagonal matrices (LAPACK bisection on
 Sturm-sequence counts via ``scipy.linalg.eigh_tridiagonal``, lowest k only).
+scipy is imported inside ``_lowest``, the one call site, so importing this
+module does not load it; only a solve does.
 
 Radial equation, in Liouville normal form for g(r) = r^((D-1)/2) R(r):
 
@@ -47,7 +49,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from . import spectrum, wavefunctions
 
@@ -57,7 +58,8 @@ class OracleError(Exception):
 
 
 class GridTooCoarse(OracleError):
-    """Level-to-level eigenvalue differences fail to shrink under refinement."""
+    """The base grid has fewer nodes than requested states, or level-to-level
+    eigenvalue differences fail to shrink under refinement."""
 
 
 class SpectrumPollution(OracleError):
@@ -134,12 +136,13 @@ def _matched_centrifugal(s: float, j: np.ndarray) -> np.ndarray:
 
 def _lowest(diag, off, k):
     """The k lowest eigenvalues of the symmetric tridiagonal (diag, off)."""
+    from scipy.linalg import eigh_tridiagonal  # here alone, so only verify loads scipy
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise GridOutOfRange("the grid matrix has entries outside the float range")
     try:
         return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
                                 eigvals_only=True)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise GridOutOfRange("the eigensolver failed at this scale: %s" % exc) from exc
 
 
@@ -260,6 +263,9 @@ def _richardson(levels):
 def _refine(level_solver, grid: GridSpec, k_states: int) -> GridEigenResult:
     if k_states < 1:
         raise ValueError("k_states must be at least 1")
+    if k_states > grid.n_points:
+        raise GridTooCoarse("%d states need more than the %d nodes of the base grid"
+                            % (k_states, grid.n_points))
     solved = [level_solver(grid.n_points * 2 ** i, k_states)
               for i in range(grid.refinement_levels)]
     levels = [evals for evals, _ in solved]

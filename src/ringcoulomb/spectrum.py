@@ -236,6 +236,8 @@ def energy(params: PotentialParams, consts: PhysicalConstants,
     den = 2 * q.N + 1 + root
     eps = eff.alpha / den
     E = params.c - consts.hbar**2 * eps * eps / (2.0 * consts.mu)
+    if not math.isfinite(E):
+        raise OutOfRange("E = %r: outside the float range" % E)
     return SpectrumEntry(
         E=E, epsilon=eps, quantum=q, eff=eff, N_prime=principal_number(q.N, eff),
         domain_extension=params.domain_extension or eff.domain_extension)

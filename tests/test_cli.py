@@ -4,8 +4,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,9 +311,14 @@ class TestBadInput:
         (["spectrum", "--a", "1e308"], "alpha = inf"),
         (["wavefunction", "--a", "1e300", "--b", "1e300"], "C = exp("),
         (["wavefunction", "--beta", "1e100", "--nr", "3", "--ntheta", "3"], "h_n = exp("),
-        (["verify", "--a", "1e200", "--points", "64", "--levels", "2"], "squared underflows"),
+        # E = c - 2 mu a^2 / (hbar^2 den^2) stays finite, but the decay rate
+        # 2 mu a / (hbar^2 den) = 1e200 makes the grid step square to zero
+        (["verify", "--hbar", "1e-100", "--points", "64", "--levels", "2"],
+         "squared underflows"),
         (["verify", "--beta", "1e308", "--points", "64", "--levels", "2"],
          "outside the float range"),
+        (["spectrum", "--a", "1e200", "--N", "0..0", "--n", "0..0", "--m", "0..0"],
+         "E = -inf"),
     ])
     def test_extreme_parameters_fail_with_a_message(self, argv, message, capsys):
         # valid inputs whose computation leaves the float range end in a
@@ -478,3 +487,27 @@ def test_extreme_magnitudes_exit_cleanly(command, physics):
     """Valid parameters at the ends of the float range reach the computation."""
     _check_exit_contract([command, *_SMALL_RUNS[command]]
                          + ["--%s=%s" % item for item in physics.items()])
+
+
+_STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+from ringcoulomb import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["spectrum", "--N", "0..1"]),
+             cli.main(["wavefunction", "--nr", "5", "--ntheta", "5"]),
+             cli.main(["reduce", "--case", "kratzer"])]
+    scipy_before = "scipy" in sys.modules
+    verify = cli.main(["verify"])
+print(json.dumps({"codes": codes, "scipy_before": scipy_before,
+                  "verify": verify, "scipy_after": "scipy" in sys.modules}))
+"""
+
+
+def test_only_verify_loads_scipy():
+    """scipy costs most of the start-up, and only verify's eigensolver needs it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0], "scipy_before": False,
+                                       "verify": 0, "scipy_after": True}

@@ -122,6 +122,16 @@ class TestGridOutOfRange:
 
 
 class TestConvergenceGuards:
+    @pytest.mark.parametrize("k_states", [65, 2**70], ids=["one_more", "2**70"])
+    @pytest.mark.parametrize("solve", [
+        lambda grid, k: oracle.radial_eigen(1.0, 0.0, grid, k),
+        lambda grid, k: oracle.angular_eigen(0, 0.0, CONSTS, grid, k),
+    ], ids=["radial", "angular"])
+    def test_more_states_than_base_grid_nodes(self, solve, k_states):
+        grid = GridSpec(0.0, math.pi, n_points=64, refinement_levels=2)
+        with pytest.raises(GridTooCoarse, match="nodes of the base grid"):
+            solve(grid, k_states)
+
     def test_grid_too_coarse_on_growing_differences(self):
         levels = [np.array([1.0]), np.array([1.1]), np.array([1.4])]
         with pytest.raises(GridTooCoarse):

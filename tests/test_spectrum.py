@@ -418,6 +418,12 @@ class TestOutOfRange:
             spectrum.energy(PotentialParams(a=1.0, beta=1e308), PhysicalConstants(mu=2.0),
                             QuantumNumbers(0, 0, 0))
 
+    @pytest.mark.parametrize("a", [1e160, 1e200])
+    def test_energy_beyond_a_float(self, a):
+        # alpha and epsilon are finite, but hbar^2 eps^2 / (2 mu) overflows
+        with pytest.raises(spectrum.OutOfRange, match="E = -inf"):
+            spectrum.energy(PotentialParams(a=a), CONSTS, QuantumNumbers(0, 0, 0))
+
     def test_a_zero_still_has_indices(self):
         eff = spectrum.effective_indices(PotentialParams(a=0.0), CONSTS, QuantumNumbers(0, 1, 0))
         assert eff.alpha == 0.0

@@ -273,3 +273,8 @@ class TestTotalPsi:
             wf.EvalPoint(r=1.0, theta=4.0, phi=0.0)
         with pytest.raises(ValueError):
             wf.EvalPoint(r=1.0, theta=0.5, phi=-0.1)
+
+    def test_eval_point_phi_period_is_half_open(self):
+        with pytest.raises(ValueError, match="phi"):
+            wf.EvalPoint(r=1.0, theta=0.5, phi=2 * math.pi)
+        wf.EvalPoint(r=1.0, theta=0.5, phi=math.nextafter(2 * math.pi, 0.0))
