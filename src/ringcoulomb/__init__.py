@@ -1,5 +1,5 @@
 """Exact bound states of the pseudo-Coulomb plus ring-shaped potential in D
-dimensions, with independent finite-difference verification.
+dimensions, with independent spectral verification.
 
 Layout:
 
@@ -9,13 +9,11 @@ Layout:
 - :mod:`ringcoulomb.wavefunctions` -- normalized radial/angular/azimuthal
   factors with in-house Laguerre and Jacobi kernels
 - :mod:`ringcoulomb.quadrature` -- adaptive Gauss-Legendre integration
-- :mod:`ringcoulomb.oracle` -- finite-difference Sturm-Liouville eigensolvers
-  and state verification
+- :mod:`ringcoulomb.oracle` -- Galerkin eigensolvers for the separated
+  equations and state verification
 - :mod:`ringcoulomb.cli` -- the ``ringcoulomb`` command
 
-numpy is the one import-time dependency.  scipy is imported inside the
-oracle's eigensolver call, so it loads on the first solve (``verify``), not
-on ``import ringcoulomb``.
+numpy is the one runtime dependency; no command loads scipy.
 """
 
 __version__ = "0.1.0"

@@ -50,7 +50,6 @@ def _fmt(value) -> str:
 #: size caps, each checked before anything of that size is built
 MAX_STATES = 10**6          # indices in one range; states in a spectrum or verify run
 MAX_SAMPLES = 10**6         # wavefunction nr * ntheta
-MAX_GRID_NODES = 2**20      # nodes on the finest verify grid
 MAX_DEGREE = 10**4          # wavefunction N and n: one numpy pass per polynomial degree
 
 
@@ -121,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ntheta", type=int, default=None)
     p.add_argument("--r-max", dest="r_max", type=float, default=None)
 
-    p = sub.add_parser("verify", help="finite-difference cross-check of states")
+    p = sub.add_parser("verify", help="spectral eigensolver cross-check of states")
     _add_common(p)
     p.add_argument("--N", type=str, default=None)
     p.add_argument("--n", type=str, default=None)
@@ -468,22 +467,21 @@ def _cmd_verify(cfg: dict, problems: list) -> int:
     n_points = _integer(cfg, "points", 1500, problems)
     levels = _integer(cfg, "levels", 3, problems)
     offset = _number(cfg, "perturb_energy", 0.0, problems)
-    if n_points < oracle.MIN_POINTS:
-        problems.append(("points", "must be at least %d, got %r"
-                         % (oracle.MIN_POINTS, n_points)))
-    if levels < oracle.MIN_LEVELS:
-        problems.append(("levels", "must be at least %d, got %r"
-                         % (oracle.MIN_LEVELS, levels)))
-    # level i solves on base * 2**i nodes; the shift keeps a huge --levels cheap
-    elif max(n_points, oracle.ANGULAR_MIN_POINTS) > MAX_GRID_NODES >> (levels - 1):
-        problems.append(("levels", "%d levels need more than %d nodes on the finest grid"
-                         % (levels, MAX_GRID_NODES)))
-    # a solver finds as many levels as its base grid has nodes, at most
-    for key, indices, nodes in (("N", ranges[0], n_points),
-                                ("n", ranges[1], max(n_points, oracle.ANGULAR_MIN_POINTS))):
-        if indices and indices[-1] >= nodes >= oracle.MIN_POINTS:
-            problems.append((key, "must be below %d, the nodes of its base grid; got %d"
-                             % (nodes, indices[-1])))
+    in_range = True
+    for key, value, lo, hi in (("points", n_points, oracle.MIN_POINTS, oracle.MAX_POINTS),
+                               ("levels", levels, oracle.MIN_LEVELS, oracle.MAX_LEVELS)):
+        if not lo <= value <= hi:
+            problems.append((key, "must lie in %d..%d, got %r" % (lo, hi, value)))
+            in_range = False
+    if in_range:
+        grid = oracle.GridSpec(n_points=n_points, refinement_levels=levels)
+        for key, indices, sizes in (("N", ranges[0], grid.radial_sizes),
+                                    ("n", ranges[1], grid.angular_sizes)):
+            if indices:
+                try:
+                    sizes(indices[-1] + 1)
+                except oracle.BasisSizeError as exc:
+                    problems.append((key, str(exc)))
     if problems:
         raise ConfigError(problems)
 

@@ -262,8 +262,11 @@ def k_candidates(problem: NUProblem) -> list:
                 raise NUError("k-equation vanishes identically; every k admissible")
             raise NoRealK("k-equation is a nonzero constant")
         return [-c / b]
-    disc = b * b - 4 * a * c
-    disc_zero = _vanishes(disc, (b * b, 4 * a * c), exact)
+    # b^2 - 4ac without its cancellation (both terms near 4 alpha^2, radially)
+    square = q.c2 * sg.c0 - q.c0 * sg.c2
+    cross = (q.c2 * sg.c1 - q.c1 * sg.c2) * (q.c1 * sg.c0 - q.c0 * sg.c1)
+    disc = 16 * (square * square - cross)
+    disc_zero = _vanishes(disc, (16 * square * square, 16 * cross), exact)
     if disc < 0 and not disc_zero:
         raise NoRealK("negative discriminant %r in the k-equation" % disc)
     if disc_zero:

@@ -1,51 +1,54 @@
-"""Independent finite-difference eigensolvers for the radial and angular ODEs.
+"""Independent spectral (Galerkin) eigensolvers for the radial and polar ODEs.
 
-These solvers verify the closed-form spectrum without sharing any algebra
-with the analytic modules: they discretize the separated equations directly
-and read eigenvalues off symmetric tridiagonal matrices (LAPACK bisection on
-Sturm-sequence counts via ``scipy.linalg.eigh_tridiagonal``, lowest k only).
-scipy is imported inside ``_lowest``, the one call site, so importing this
-module does not load it; only a solve does.
+The solvers share no algebra with the closed forms.  Each expands its
+separated equation in a basis built from the ODE's own indicial exponent,
+integrates the weak form with one Gauss rule, and takes the eigenvalues of
+the dense symmetric matrix with ``numpy.linalg.eigvalsh``.
 
-Radial equation, in Liouville normal form for g(r) = r^((D-1)/2) R(r):
+Radial, in Liouville form for g = r^((D-1)/2) R, with e = 2 mu (E - c) / hbar^2:
 
-    g'' + [e + alpha/r - gamma/r^2] g = 0,     e = 2 mu (E - c) / hbar^2
+    -g'' + [gamma/r^2 - alpha/r] g = e g
 
-Discretized with second-order central differences on a uniform grid with
-Dirichlet ends.  Near r = 0 the solution behaves like r**s with
-s = (1 + sqrt(4*gamma+1))/2 (the indicial exponent of the ODE); for
-non-integer s a plain 1/r^2 coefficient leaves an O(h^(2s-1)) eigenvalue
-error that defeats h^2 extrapolation, so the centrifugal coefficient at node
-j is replaced by the unique value that makes the three-point stencil
-annihilate r**s exactly:
+In r = h x the basis is x^s e^(-x/2) p_k(x), k < K.  s = (1 + sqrt(4 gamma + 1))/2
+solves the indicial equation s(s - 1) = gamma at r = 0, and the p_k are
+orthonormal for x^(2s) e^(-x), so the basis is orthonormal.  Every element of
+the weak form is x^(2s-2) e^(-x) times a polynomial of degree at most 2K,
+which the Gauss rule of that weight with K + 2 nodes integrates exactly.  The
+eigenvalues are h^2 e.  With h = 0.8 / (2 eps), eps the closed-form decay rate
+of the slowest state, the basis decays 1.25 times faster: no basis function is
+an eigenfunction; it peaks at x = 2s, the state near 2.5s, so K grows by s/16.
 
-    gamma_j = j^2 [ (1 + 1/j)^s + (1 - 1/j)^s - 2 ]
+Polar, in s = cos(theta), with kappa = 2 mu beta / hbar^2:
 
-which tends to s(s-1) = gamma and reduces to it identically at integer s.
-This applies only when the grid starts at the origin (x_min = 0, the exact
-boundary condition); with x_min > 0 the plain coefficient is kept.
+    -((1 - s^2) H')' + (m^2 + kappa s^2) / (1 - s^2) H = Lambda H
 
-Angular equation, conservative (flux) form:
+The basis is (1 - s^2)^(p/2) q_k(s): p^2 = m^2 + kappa solves the indicial
+equation at both poles, and the q_k are orthonormal for (1 - s^2)^p.  One
+integration by parts cancels the pole term, because p^2 = m^2 + kappa, and
+leaves int (1 - s^2)^(p+1) q_i' q_j' ds + (p + m^2) delta_ij, which the Gauss
+rule of (1 - s^2)^p with K + 2 nodes integrates exactly.  The form before that
+step needs the weight (1 - s^2)^(p-1), which is not integrable at p = 0.  The
+basis holds the eigenfunctions, so the solve is exact from K = n + 1: it asks,
+by quadrature, whether the ODE has polynomial solutions of the claimed degree,
+the question the Nikiforov-Uvarov derivation answers in closed form.
 
-    d/dtheta( sin(theta) dH/dtheta ) + [Lambda sin - (m^2 + kappa cos^2)/sin] H = 0
+Independence: both exponents come from indicial equations, never from the
+energy formula, and both solvers diagonalize the operator.  The closed-form
+decay rate only sets h; a wrong one slows convergence but moves no eigenvalue.
 
-with kappa = 2 mu beta / hbar^2, discretized on a staggered grid whose cell
-boundaries include the poles: the flux coefficient sin(theta) vanishes there,
-so the natural (regularity) pole condition holds without any artificial
-truncation.  That matters: truncating at theta = 1e-4 with Dirichlet walls
-shifts the lowest m' = 0 eigenvalue by O(1/ln(1/delta)) ~ 0.1, far outside
-tolerance, while the staggered grid keeps the constant mode exactly at
-Lambda = 0.
-
-Eigenvalues from ``refinement_levels`` grid halvings are combined by
-Richardson extrapolation with the exponent ladder 2, 3, 4, ...; the error
-estimate is the difference between the last two extrapolation stages.
+Numerics: Gauss nodes are eigenvalues of the Jacobi matrix.  Weights come
+from the Christoffel sum w_j = 1 / sum_k P_k(x_j)^2, not from eigenvector
+components, whose small entries lose their relative accuracy.  Rows are
+carried times sqrt(w_j), so no value leaves the float range.  The radial
+recurrences run in y = x - (2s - 1), which keeps the nodes resolved at large
+s.  A solve takes the leading blocks of ``refinement_levels`` basis sizes
+K, K + 10, ... (:class:`GridSpec`); it reports the largest's values and
+their change from the one before as the error estimate.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,223 +60,119 @@ class OracleError(Exception):
     """Base class for verification-solver failures."""
 
 
-class GridTooCoarse(OracleError):
-    """The base grid has fewer nodes than requested states, or level-to-level
-    eigenvalue differences fail to shrink under refinement."""
-
-
-class SpectrumPollution(OracleError):
-    """An eigenvalue moved by more than its spectral gap between refinement levels."""
+class BasisSizeError(OracleError):
+    """A basis-size cap, K-step count or state count that a solve cannot take."""
 
 
 class GridOutOfRange(OracleError):
-    """At these parameters a grid or its matrix leaves the range of a float."""
+    """At these parameters a basis scale or its matrix leaves the range of a float."""
 
 
-#: smallest base grid and fewest refinement levels a GridSpec accepts
+#: bounds on the basis-size cap and on the number of K steps
 MIN_POINTS = 64
+MAX_POINTS = 2048
 MIN_LEVELS = 2
-#: the polar solver never uses a base grid coarser than this
-ANGULAR_MIN_POINTS = 1000
+MAX_LEVELS = 10
+#: basis functions added at each K step
+K_STEP = 10
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    x_min: float
-    x_max: float
+    """Basis sizes of a solve: ``refinement_levels`` sizes K, K + K_STEP, ...,
+    the largest at most the cap ``n_points``; each solver picks its first K."""
+
     n_points: int = 1500
     refinement_levels: int = 3
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise ValueError("need x_min < x_max")
-        if self.n_points < MIN_POINTS:
-            raise ValueError("n_points must be at least %d" % MIN_POINTS)
-        if self.refinement_levels < MIN_LEVELS:
-            raise ValueError("refinement_levels must be at least %d" % MIN_LEVELS)
+        if not MIN_POINTS <= self.n_points <= MAX_POINTS:
+            raise BasisSizeError("the basis-size cap must lie in %d..%d, got %r"
+                                 % (MIN_POINTS, MAX_POINTS, self.n_points))
+        if not MIN_LEVELS <= self.refinement_levels <= MAX_LEVELS:
+            raise BasisSizeError("the number of K steps must lie in %d..%d, got %r"
+                                 % (MIN_LEVELS, MAX_LEVELS, self.refinement_levels))
+
+    def _sizes(self, k_states: int, first: int, index: str) -> list:
+        if k_states < 1:
+            raise ValueError("k_states must be at least 1")
+        sizes = [first + K_STEP * i for i in range(self.refinement_levels)]
+        if sizes[-1] > self.n_points:
+            raise BasisSizeError("%s = %d needs %d basis functions, more than the cap of %d"
+                                 % (index, k_states - 1, sizes[-1], self.n_points))
+        return sizes
+
+    def radial_sizes(self, k_states: int, s: float = 1.0) -> list:
+        """Radial sizes, from 2 k_states + 8 + s/16; BasisSizeError past the cap."""
+        return self._sizes(k_states, 2 * k_states + 8 + int(s / 16.0), "radial index N")
+
+    def angular_sizes(self, k_states: int) -> list:
+        """Polar sizes, from k_states; BasisSizeError past the cap."""
+        return self._sizes(k_states, k_states, "polar index n")
 
 
 @dataclass(frozen=True)
 class GridEigenResult:
-    eigenvalues: np.ndarray          # finest-grid raw values, ascending
-    richardson: np.ndarray           # extrapolated values
-    est_error: np.ndarray            # per-eigenvalue extrapolation estimate
-    levels: list = field(default_factory=list)  # raw values per refinement level
+    eigenvalues: np.ndarray          # values at the largest basis, ascending
+    est_error: np.ndarray            # change from the next smaller basis
+    levels: list = field(default_factory=list)  # values at each basis size
 
 
-def radial_grid_for(alpha: float, gamma: float, k_states: int, *,
-                    n_points: int = 1500, refinement_levels: int = 3,
-                    span: float = 40.0) -> GridSpec:
-    """Grid sized by the decay rule x_max = span / eps of the slowest state."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    eps_slowest = alpha / (2.0 * (k_states - 1) + 1.0 + math.sqrt(4.0 * gamma + 1.0))
-    if not eps_slowest > span / sys.float_info.max:
-        raise GridOutOfRange("decay rate %r is too slow for a finite grid" % eps_slowest)
-    return GridSpec(x_min=0.0, x_max=span / eps_slowest,
-                    n_points=n_points, refinement_levels=refinement_levels)
+def _scaled_rows(y, diag, off, start):
+    """Orthonormal polynomials and their derivatives at Gauss nodes y, times
+    sqrt of each node's Christoffel weight; shape (families, 2, rows, nodes).
+
+    Row f of ``diag`` and ``off`` is the recurrence y P_k = off[k+1] P_{k+1}
+    + diag[k] P_k + off[k] P_{k-1} of one family, from P_0 = start[f].  Family
+    0 owns the nodes, one per row, and starts at 1; the others start at their
+    P_0 over its P_0.
+    """
+    n_fam, n_rows = diag.shape
+    diag, off = diag[:, :, None, None], off[:, :, None, None]
+    out = np.empty((n_rows, n_fam, 2, y.size))
+    cur = np.zeros((n_fam, 2, y.size))
+    cur[:, 0] = np.asarray(start, dtype=float)[:, None]
+    prev = np.zeros_like(cur)
+    grow = np.ones((n_rows, y.size))
+    for k in range(n_rows - 1):
+        out[k] = cur
+        nxt = (y - diag[:, k]) * cur - off[:, k] * prev
+        nxt[:, 1] += cur[:, 0]
+        nxt /= off[:, k + 1]
+        # every row is carried over sqrt(sum_{i<=k} P_i^2) of family 0, so
+        # no value leaves the float range however small the node's weight
+        grow[k + 1] = np.sqrt(1.0 + nxt[0, 0] ** 2)
+        prev, cur = cur / grow[k + 1], nxt / grow[k + 1]
+    out[-1] = cur
+    log_norm = np.cumsum(np.log(grow), axis=0)
+    return np.moveaxis(out, 0, 2) * np.exp(log_norm - log_norm[-1])
 
 
-def angular_grid(*, n_points: int = 2000, refinement_levels: int = 3) -> GridSpec:
-    return GridSpec(x_min=0.0, x_max=math.pi,
-                    n_points=n_points, refinement_levels=refinement_levels)
-
-
-def _matched_centrifugal(s: float, j: np.ndarray) -> np.ndarray:
-    """Node-wise coefficient making the stencil exact on r**s; -> s(s-1)."""
-    out = np.empty(j.shape)
-    near = j <= 100
-    jn = j[near]
-    out[near] = jn * jn * ((1.0 + 1.0 / jn) ** s + (1.0 - 1.0 / jn) ** s - 2.0)
-    jf = j[~near]
-    d2 = 1.0 / (jf * jf)
-    # series in 1/j^2 avoids the catastrophic cancellation of the direct form
-    out[~near] = s * (s - 1.0) * (
-        1.0 + (s - 2.0) * (s - 3.0) / 12.0 * d2
-        + (s - 2.0) * (s - 3.0) * (s - 4.0) * (s - 5.0) / 360.0 * d2 * d2)
-    return out
-
-
-def _lowest(diag, off, k):
-    """The k lowest eigenvalues of the symmetric tridiagonal (diag, off)."""
-    from scipy.linalg import eigh_tridiagonal  # here alone, so only verify loads scipy
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-        raise GridOutOfRange("the grid matrix has entries outside the float range")
+def _levels(matrix, sizes, k_states) -> GridEigenResult:
+    """Lowest eigenvalues of the leading blocks of the largest basis's matrix,
+    each exactly the matrix of the smaller basis, the Gauss rule being exact."""
+    if not np.isfinite(matrix).all():
+        raise GridOutOfRange("the basis matrix has entries outside the float range")
     try:
-        return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
-                                eigvals_only=True)
+        levels = [np.linalg.eigvalsh(matrix[:size, :size])[:k_states] for size in sizes]
     except np.linalg.LinAlgError as exc:
         raise GridOutOfRange("the eigensolver failed at this scale: %s" % exc) from exc
+    return GridEigenResult(eigenvalues=levels[-1],
+                           est_error=np.abs(levels[-1] - levels[-2]), levels=levels)
 
 
-def _radial_level(alpha, gamma, x_min, x_max, n, k):
-    h = (x_max - x_min) / (n + 1)
-    if not h * h > 0.0:
-        raise GridOutOfRange("grid step %r squared underflows" % h)
-    j = np.arange(1, n + 1)
-    r = x_min + j * h
-    s = 0.5 * (1.0 + math.sqrt(4.0 * gamma + 1.0))
-    # matching is what keeps fractional indicial exponents at clean O(h^2),
-    # but its first-node coefficient grows like 2**s; beyond s ~ 12 the plain
-    # scheme's O(h^(2s-1)) defect is already far below tolerance while the
-    # matched coefficient would start inflating the eigensolver's noise floor
-    if x_min == 0.0 and s <= 12.0:
-        centrifugal = _matched_centrifugal(s, j.astype(float)) / (r * r)
-    else:
-        centrifugal = gamma / (r * r)
-    diag = 2.0 / (h * h) + centrifugal - alpha / r
-    off = np.full(n - 1, -1.0 / (h * h))
-    return _lowest(diag, off, k), float(np.max(np.abs(diag)))
-
-
-def _matched_pole_m2(mp: float, n_cells: int) -> np.ndarray:
-    """Per-cell replacement for m'^2 making the staggered polar stencil exact
-    on theta**m' near a pole.
-
-    On the model operator with p = w = theta (cell centers t_i = i + 1/2,
-    boundaries at integers) the requirement is
-
-        m2_i = [ (i+1)(t_{i+1}^m' - t_i^m') - i(t_i^m' - t_{i-1}^m') ] t_i^(1-m')
-
-    which equals m'^2 identically for integer m' and tends to it for large i.
-    """
-    i = np.arange(n_cells, dtype=float)
-    t = i + 0.5
-    tm = (i + 1.5) ** mp
-    t0 = t**mp
-    tmm = np.empty_like(t)
-    tmm[0] = 0.0  # the i = 0 flux sits at the pole and vanishes with p
-    tmm[1:] = (i[1:] - 0.5) ** mp
-    out = ((i + 1.0) * (tm - t0) - i * (t0 - tmm)) * t ** (1.0 - mp)
-    return out
-
-
-def _angular_level(m2, kappa, x_min, x_max, n, k):
-    # nodes at cell centers, flux coefficients at cell boundaries; a pole
-    # boundary has sin = 0 and decouples by itself (natural condition)
-    h = (x_max - x_min) / n
-    theta = x_min + (np.arange(n) + 0.5) * h
-    p_bound = np.sin(x_min + np.arange(n + 1) * h)
-    w = np.sin(theta)
-    # the polar singularity of the full coefficient (m^2 + kappa cos^2)/sin^2
-    # has strength m'^2 = m^2 + kappa; near each pole that strength is
-    # replaced by its stencil-matched value so fractional m' keeps the
-    # O(h^2) eigenvalue convergence the extrapolation relies on
-    mp2 = m2 + kappa
-    m2_eff = np.full(n, mp2)
-    # stencil matching only pays off for small m': the plain scheme's pole
-    # defect is O(h^(2 m' + 1)), negligible beyond m' ~ 3, while the matched
-    # first-cell coefficient grows like 3**m' and would degrade the absolute
-    # accuracy of the eigensolver (which scales with the matrix norm)
-    if x_min == 0.0 and abs(x_max - math.pi) < 1e-12 and 0.0 < mp2 <= 9.0:
-        mp = math.sqrt(mp2)
-        j = min(n // 2, 2048)
-        matched = _matched_pole_m2(mp, j)
-        m2_eff[:j] = matched
-        m2_eff[n - j:] = matched[::-1]
-    q = (m2_eff - kappa * w * w) / (w * w)
-    diag = (p_bound[1:] + p_bound[:-1]) / (h * h * w) + q
-    off = -p_bound[1:n] / (h * h * np.sqrt(w[:-1] * w[1:]))
-    return _lowest(diag, off, k), float(np.max(np.abs(diag)))
-
-
-def _check_level_convergence(levels, noise):
-    """Raise GridTooCoarse / SpectrumPollution on suspicious level sequences.
-
-    ``noise`` holds per-level eigenvalue noise floors (machine epsilon times
-    the matrix norm); level differences below the floor are converged and
-    exempt from the monotonicity requirement.
-    """
-    arr = [np.asarray(l, float) for l in levels]
-    finest = arr[-1]
-    floors = [1e3 * np.finfo(float).eps * s for s in noise]
-    diffs = [np.abs(arr[i + 1] - arr[i]) for i in range(len(arr) - 1)]
-    if len(finest) > 1:
-        gaps = np.empty_like(finest)
-        inner = np.minimum(np.abs(np.diff(finest))[:-1], np.abs(np.diff(finest))[1:])
-        gaps[1:-1] = inner
-        gaps[0] = abs(finest[1] - finest[0])
-        gaps[-1] = abs(finest[-1] - finest[-2])
-        if np.any(diffs[0] > 0.5 * gaps + floors[1]):
-            raise SpectrumPollution(
-                "eigenvalue moved by more than half its spectral gap under refinement")
-    for j in range(len(diffs) - 1):
-        a, b = diffs[j], diffs[j + 1]
-        bad = (b > floors[j + 2]) & (b > 1.05 * a + floors[j + 2])
-        if np.any(bad):
-            raise GridTooCoarse(
-                "refinement differences are not decreasing; refine the base grid")
-
-
-def _richardson(levels):
-    stages = [np.asarray(l, float) for l in levels]
-    prev = stages[-1]
-    est = np.zeros_like(prev)
-    p = 2.0
-    while len(stages) > 1:
-        f = 2.0 ** p
-        stages = [(f * stages[i + 1] - stages[i]) / (f - 1.0)
-                  for i in range(len(stages) - 1)]
-        est = np.abs(stages[-1] - prev)
-        prev = stages[-1]
-        p += 1.0
-    return stages[0], est
-
-
-def _refine(level_solver, grid: GridSpec, k_states: int) -> GridEigenResult:
-    if k_states < 1:
-        raise ValueError("k_states must be at least 1")
-    if k_states > grid.n_points:
-        raise GridTooCoarse("%d states need more than the %d nodes of the base grid"
-                            % (k_states, grid.n_points))
-    solved = [level_solver(grid.n_points * 2 ** i, k_states)
-              for i in range(grid.refinement_levels)]
-    levels = [evals for evals, _ in solved]
-    noise = [scale for _, scale in solved]
-    _check_level_convergence(levels, noise)
-    extrap, est = _richardson(levels)
-    return GridEigenResult(eigenvalues=levels[-1], richardson=extrap,
-                           est_error=est, levels=levels)
+def _radial_matrix(alpha_h, gamma, s, size):
+    """Galerkin matrix of x^s e^(-x/2) p_k(x), k < size; eigenvalues h^2 e."""
+    a = 2.0 * s - 2.0                  # the Gauss rule's weight x^a e^(-x)
+    j = np.arange(size + 2, dtype=float)
+    # family 0 is the rule, family 1 the basis (weight x^(a+2) e^(-x)), both in y
+    diag = np.stack([2.0 * j, 2.0 * j + 2.0])
+    off = np.sqrt(np.stack([j * (j + a), j * (j + a + 2.0)]))
+    y = np.linalg.eigvalsh(np.diag(diag[0]) + np.diag(off[0, 1:], -1))
+    x = y + (a + 1.0)
+    p, dp = _scaled_rows(y, diag, off, [1.0, 1.0 / math.sqrt((a + 1.0) * (a + 2.0))])[1, :, :size]
+    u = s * p - 0.5 * x * p + x * dp    # x^(1-s) e^(x/2) d/dx of a basis function
+    return u @ u.T + (p * (gamma - alpha_h * x)) @ p.T
 
 
 def radial_eigen(alpha: float, gamma: float, grid: GridSpec,
@@ -286,12 +185,28 @@ def radial_eigen(alpha: float, gamma: float, grid: GridSpec,
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if gamma < 0:
-        raise OracleError(
-            "gamma < 0 is outside the oracle's trust region (Dirichlet "
-            "truncation is unreliable in the limit-circle regime)")
-    return _refine(
-        lambda n, k: _radial_level(alpha, gamma, grid.x_min, grid.x_max, n, k),
-        grid, k_states)
+        raise OracleError("gamma < 0 is outside the oracle's trust region")
+    s = 0.5 * (1.0 + math.sqrt(4.0 * gamma + 1.0))
+    # the closed-form decay rate of the slowest state sets the scale, nothing else
+    eps_slowest = alpha / (2.0 * (k_states - 1) + 2.0 * s)
+    h = 0.8 / (2.0 * eps_slowest) if eps_slowest > 0.0 else math.inf
+    if not 0.0 < h * h < math.inf:
+        raise GridOutOfRange("basis scale h = %r squared %s"
+                             % (h, "underflows" if h < 1.0 else "overflows"))
+    sizes = grid.radial_sizes(k_states, s)
+    return _levels(_radial_matrix(alpha * h, gamma, s, sizes[-1]) / (h * h), sizes, k_states)
+
+
+def _angular_matrix(p, m2, size):
+    """Galerkin matrix of (1 - s^2)^(p/2) q_k(s), k < size; eigenvalues Lambda."""
+    j = np.arange(2, size + 2, dtype=float)
+    off = np.zeros(size + 2)
+    off[1] = 1.0 / math.sqrt(2.0 * p + 3.0)   # the general form below is 0/0 at p = 1/2
+    off[2:] = np.sqrt(j * (j + 2.0 * p) / ((2.0 * j + 2.0 * p + 1.0) * (2.0 * j + 2.0 * p - 1.0)))
+    y = np.linalg.eigvalsh(np.diag(off[1:], -1))
+    dq = _scaled_rows(y, np.zeros((1, size + 2)), off[None], [1.0])[0, 1, :size]
+    d = dq * np.sqrt((1.0 - y) * (1.0 + y))
+    return d @ d.T + (p + m2) * np.eye(size)
 
 
 def angular_eigen(m: int, beta: float, consts: spectrum.PhysicalConstants,
@@ -302,10 +217,13 @@ def angular_eigen(m: int, beta: float, consts: spectrum.PhysicalConstants,
     """
     if m < 0 or beta < 0:
         raise ValueError("m and beta must be nonnegative")
+    sizes = grid.angular_sizes(k_states)
     kappa = 2.0 * consts.mu * beta / consts.hbar**2
-    return _refine(
-        lambda n, k: _angular_level(float(m * m), kappa, grid.x_min, grid.x_max, n, k),
-        grid, k_states)
+    if not math.isfinite(kappa):
+        raise GridOutOfRange("kappa = 2 mu beta / hbar^2 = %r is outside the float range"
+                             % kappa)
+    p = math.sqrt(m * m + kappa)
+    return _levels(_angular_matrix(p, float(m * m), sizes[-1]), sizes, k_states)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +339,8 @@ def verify_states(params: spectrum.PotentialParams, consts: spectrum.PhysicalCon
     """Cross-check closed-form states; one report per state, in input order.
 
     The polar equation does not involve N, so states sharing (n, m) share
-    their two angular checks; the radial checks run per state.
+    their two angular checks; the radial checks run per state.  ``n_points``
+    and ``refinement_levels`` make the :class:`GridSpec` of every solve.
     """
     angular_checks = {}
     return [verify_state(params, consts, q, tolerances, n_points=n_points,
@@ -436,7 +355,7 @@ def verify_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalCons
                  n_points: int = 1500, refinement_levels: int = 3,
                  energy_offset: float = 0.0,
                  angular_checks: dict | None = None) -> VerificationReport:
-    """Cross-check one closed-form state against the finite-difference solvers.
+    """Cross-check one closed-form state against the spectral solvers.
 
     Runs the angular solver to confirm Lambda, the radial solver (fed the
     confirmed closed-form Lambda through gamma) to confirm E, and the ODE
@@ -448,34 +367,28 @@ def verify_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalCons
     tol = tolerances or VerifyTolerances()
     entry = spectrum.energy(params, consts, q)
     eff = entry.eff
+    grid = GridSpec(n_points=n_points, refinement_levels=refinement_levels)
     angular_checks = {} if angular_checks is None else angular_checks
     if (q.n, q.m) not in angular_checks:
-        ang = angular_eigen(q.m, params.beta, consts,
-                            angular_grid(n_points=max(n_points, ANGULAR_MIN_POINTS),
-                                         refinement_levels=refinement_levels),
-                            q.n + 1)
-        lam_fd = float(ang.richardson[q.n])
+        ang = angular_eigen(q.m, params.beta, consts, grid, q.n + 1)
+        lam_num = float(ang.eigenvalues[q.n])
         resid_a, scale_a = angular_ode_residual(params, consts, entry)
         angular_checks[q.n, q.m] = (
-            _check("angular_lambda", lam_fd, eff.Lambda, abs(lam_fd - eff.Lambda),
+            _check("angular_lambda", lam_num, eff.Lambda, abs(lam_num - eff.Lambda),
                    tol.lambda_abs, float(ang.est_error[q.n])),
             _check("angular_ode_residual", resid_a, 0.0, resid_a,
                    tol.residual_rel * scale_a))
     lam_check, resid_a_check = angular_checks[q.n, q.m]
 
-    rad = radial_eigen(eff.alpha, eff.gamma,
-                       radial_grid_for(eff.alpha, eff.gamma, q.N + 1,
-                                       n_points=n_points,
-                                       refinement_levels=refinement_levels),
-                       q.N + 1)
-    e_fd = float(rad.richardson[q.N])
-    E_fd = params.c + consts.hbar**2 * e_fd / (2.0 * consts.mu)
+    rad = radial_eigen(eff.alpha, eff.gamma, grid, q.N + 1)
+    e_num = float(rad.eigenvalues[q.N])
+    E_num = params.c + consts.hbar**2 * e_num / (2.0 * consts.mu)
     E_target = entry.E + energy_offset
     scale = max(abs(E_target), abs(E_target - params.c))
     resid, scale_r = radial_ode_residual(params, consts, entry, energy_offset=energy_offset)
     return VerificationReport(checks=[
         lam_check,
-        _check("radial_energy", E_fd, E_target, abs(E_fd - E_target),
+        _check("radial_energy", E_num, E_target, abs(E_num - E_target),
                tol.energy_rel * scale,
                float(rad.est_error[q.N]) * consts.hbar**2 / (2.0 * consts.mu)),
         _check("radial_ode_residual", resid, 0.0, resid, tol.residual_rel * scale_r),

@@ -22,7 +22,7 @@ centrifugal term, giving
 
 equivalently the Coulombic form E = c - mu a^2 / (2 hbar^2 N'^2) with the
 principal-like number N' = N + L + 1.  Everything here is a pure function of
-immutable inputs; the finite-difference checks live in ``oracle``.
+immutable inputs; the spectral eigensolver checks live in ``oracle``.
 """
 
 from __future__ import annotations

@@ -13,11 +13,11 @@ in the log domain.  The angular factor is
 
     H(theta) = norm * sin(theta)**m' * P_n^(m',m')(cos(theta))
 
-whose textbook prefactor sqrt((2l'+1)(l'-m')! / (2 (l'+m')!)) only
-normalizes the m' in {0, 1} family; every state is checked against the
-closed-form sin(theta)-weighted norm of its shape (DLMF 18.3) and renormalized
-when the analytic constant is off by more than NORM_CHECK_TOL, with the
-discrepancy recorded on the state.  Quadrature serves only as a reference.
+normalized by h_n^(-1/2), h_n the closed-form sin(theta)-weighted norm of its
+shape (DLMF 18.3).  The textbook prefactor sqrt((2l'+1)(l'-m')! / (2 (l'+m')!))
+only normalizes the m' in {0, 1} family; the state keeps it as a diagnostic,
+with the norm it would give and whether that misses 1 by more than
+NORM_CHECK_TOL.  Quadrature serves only as a reference.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import numpy as np
 from . import quadrature, spectrum
 from .special import jacobi, laguerre, sin_power
 
-#: relative misnormalization above which the analytic angular prefactor is
-#: replaced by the closed-form norm
+#: relative misnormalization of the textbook angular prefactor above which a
+#: state is reported as ``adjusted``
 NORM_CHECK_TOL = 1e-6
 
 
@@ -133,19 +133,36 @@ class AngularState:
     adjusted: bool
 
 
+#: m' above which log h_n takes the large-m' form: the direct sum's rounding
+#: error there passes 1e-13, the expansion's first omitted term is below 2e-15
+JACOBI_NORM_LARGE_MP = 50.0
+
+
 def log_jacobi_norm(n: int, mp: float) -> float:
-    """log h_n, where h_n = integral of [sin^m' P_n^(m',m')(cos)]^2 sin over (0, pi)."""
-    return ((2.0 * mp + 1.0) * math.log(2.0) + 2.0 * math.lgamma(n + mp + 1.0)
-            - math.log(2.0 * n + 2.0 * mp + 1.0) - math.lgamma(n + 1.0)
-            - math.lgamma(n + 2.0 * mp + 1.0))
+    """log h_n, where h_n = integral of [sin^m' P_n^(m',m')(cos)]^2 sin over (0, pi).
+
+    h_n = 2^(2m'+1) Gamma(n+m'+1)^2 / ((2n+2m'+1) n! Gamma(n+2m'+1)), whose
+    log-Gamma terms cancel at large m'.  There the Pochhammer factors (m'+1)_n
+    and (2m'+1)_n are summed as logs, and the duplication formula leaves
+    log Gamma(m') - log Gamma(m'+1/2), expanded in 1/m' (DLMF 5.11.13).
+    """
+    if mp <= JACOBI_NORM_LARGE_MP:
+        return ((2.0 * mp + 1.0) * math.log(2.0) + 2.0 * math.lgamma(n + mp + 1.0)
+                - math.log(2.0 * n + 2.0 * mp + 1.0) - math.lgamma(n + 1.0)
+                - math.lgamma(n + 2.0 * mp + 1.0))
+    t = 1.0 / mp
+    lead = (math.log(2.0) + 0.5 * math.log(math.pi * mp)
+            + t * (0.125 - t * t * (1.0 / 192.0 - t * t / 640.0)))
+    rising = math.fsum(2.0 * math.log(mp + i) - math.log(2.0 * mp + i)
+                       for i in range(1, n + 1))
+    return lead + rising - math.log(2.0 * n + 2.0 * mp + 1.0) - math.lgamma(n + 1.0)
 
 
 def angular_state(n: int, mp: float, D: int = 3) -> AngularState:
     """Build the polar factor for Jacobi index n and effective index m'.
 
-    The analytic prefactor is kept when it normalizes the state to within
-    NORM_CHECK_TOL; otherwise the closed-form norm h_n replaces it and the
-    state is flagged ``adjusted``.
+    The norm is always h_n^(-1/2).  ``adjusted`` reports that the textbook
+    prefactor would miss the unit norm by more than NORM_CHECK_TOL.
     """
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
@@ -163,15 +180,8 @@ def angular_state(n: int, mp: float, D: int = 3) -> AngularState:
         # meaningless here and only the closed-form norm can normalize
         printed = math.nan
         printed_integral = math.nan
-    if math.isfinite(printed_integral) and abs(printed_integral - 1.0) <= NORM_CHECK_TOL:
-        norm = printed
-        adjusted = False
-    elif shape == 0.0:
-        raise spectrum.OutOfRange("h_n = exp(%r) underflows to 0" % log_jacobi_norm(n, mp))
-    else:
-        norm = 1.0 / math.sqrt(shape)
-        adjusted = True
-    return AngularState(n=n, m_prime=mp, ell_prime=lp, norm=norm,
+    adjusted = not abs(printed_integral - 1.0) <= NORM_CHECK_TOL
+    return AngularState(n=n, m_prime=mp, ell_prime=lp, norm=1.0 / math.sqrt(shape),
                         printed_norm=printed, printed_integral=printed_integral,
                         adjusted=adjusted)
 
@@ -239,8 +249,7 @@ class BoundState:
         """Total wavefunction through the combined prefactor.
 
         A single exp of summed log terms replaces the product of the three
-        factor constants; any adjustment of the angular norm is folded in so
-        that psi == R * H * Phi pointwise.
+        factor constants, so that psi == R * H * Phi pointwise.
         """
         rad, ang = self.radial, self.angular
         log_pref = (log_normalization_C(rad.N, rad.L, rad.epsilon)

@@ -97,7 +97,7 @@ def test_quantization_dual_path_1000_draws():
 
 
 def test_radial_oracle_20_random_states():
-    """FD eigenvalues match the closed-form E to relative 1e-4."""
+    """Spectral eigenvalues match the closed-form E to relative 1e-4."""
     rng = np.random.default_rng(4242)
     t0 = time.perf_counter()
     worst = 0.0
@@ -111,11 +111,10 @@ def test_radial_oracle_20_random_states():
                                     int(rng.integers(0, 3)))
         entry = spectrum.energy(params, CONSTS, q)
         eff = entry.eff
-        grid = oracle.radial_grid_for(eff.alpha, eff.gamma, q.N + 1)
-        res = oracle.radial_eigen(eff.alpha, eff.gamma, grid, q.N + 1)
-        E_fd = params.c + CONSTS.hbar**2 * res.richardson[q.N] / (2.0 * CONSTS.mu)
+        res = oracle.radial_eigen(eff.alpha, eff.gamma, oracle.GridSpec(), q.N + 1)
+        E_num = params.c + CONSTS.hbar**2 * res.eigenvalues[q.N] / (2.0 * CONSTS.mu)
         scale = max(abs(entry.E), abs(entry.E - params.c))
-        worst = max(worst, abs(E_fd - entry.E) / scale)
+        worst = max(worst, abs(E_num - entry.E) / scale)
     elapsed = time.perf_counter() - t0
     report("radial oracle, 20 random states", worst <= 1e-4 and elapsed < 60.0,
            "worst rel dev %.2e, %.1fs" % (worst, elapsed))
@@ -123,14 +122,13 @@ def test_radial_oracle_20_random_states():
 
 def test_radial_oracle_hydrogen_ladder():
     """Hydrogen ladder -1/(2 n_p^2) for n_p = 1..5 to relative 1e-5."""
-    grid = oracle.radial_grid_for(2.0, 0.0, 5)
-    res = oracle.radial_eigen(2.0, 0.0, grid, 5)
+    res = oracle.radial_eigen(2.0, 0.0, oracle.GridSpec(), 5)
     worst = 0.0
     for N in range(5):
         n_p = N + 1
-        E_fd = 0.5 * res.richardson[N]
+        E_num = 0.5 * res.eigenvalues[N]
         want = -0.5 / n_p**2
-        worst = max(worst, abs(E_fd - want) / abs(want))
+        worst = max(worst, abs(E_num - want) / abs(want))
     report("radial oracle, hydrogen ladder n_p=1..5", worst <= 1e-5,
            "worst rel dev %.2e" % worst)
 
@@ -140,19 +138,19 @@ def test_angular_oracle_ring_families():
     worst = 0.0
     for beta in (0.0, 2.0, 8.0):
         for m in (0, 1, 2):
-            res = oracle.angular_eigen(m, beta, CONSTS, oracle.angular_grid(), 4)
+            res = oracle.angular_eigen(m, beta, CONSTS, oracle.GridSpec(), 4)
             mp = spectrum.m_prime(m, beta, CONSTS)
             for n in range(4):
                 want = (n + mp) * (n + mp + 1.0) - 2.0 * beta
-                worst = max(worst, abs(res.richardson[n] - want))
+                worst = max(worst, abs(res.eigenvalues[n] - want))
     report("angular oracle, n<=3 m<=2 beta in {0,2,8}", worst <= 1e-4,
            "worst abs dev %.2e" % worst)
 
 
 def test_angular_oracle_legendre_ladder():
     """The beta = 0 ladder {0, 2, 6, 12} to absolute 1e-5."""
-    res = oracle.angular_eigen(0, 0.0, CONSTS, oracle.angular_grid(), 4)
-    worst = max(abs(res.richardson[n] - n * (n + 1.0)) for n in range(4))
+    res = oracle.angular_eigen(0, 0.0, CONSTS, oracle.GridSpec(), 4)
+    worst = max(abs(res.eigenvalues[n] - n * (n + 1.0)) for n in range(4))
     report("angular oracle, Legendre ladder", worst <= 1e-5,
            "worst abs dev %.2e" % worst)
 

@@ -292,8 +292,8 @@ class TestBadInput:
         (["wavefunction", "--nr", "1001", "--ntheta", "1000"], "ntheta"),
         (["verify", "--levels", "30"], "levels"),
         (["verify", "--points", "1500", "--levels", "11"], "levels"),
-        (["verify", "--points", "64", "--levels", "12"], "levels"),  # polar grid floor
-        # more levels than the base grid holds nodes; a polynomial degree past the cap
+        (["verify", "--points", "64", "--levels", "12"], "levels"),
+        # a basis larger than the cap; a polynomial degree past the cap
         (["verify", "--N", "1500"], "N"),
         (["verify", "--n", "0..2000", "--points", "64"], "n"),
         (["wavefunction", "--N", "99999999999999999999"], "N"),
@@ -307,10 +307,30 @@ class TestBadInput:
         assert captured.out == ""
         assert ("error: %s: " % field) in captured.err
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--points", "2048"], None),
+        (["--points", "2049"], "points"),
+        (["--levels", "10"], None),
+        (["--points", "64", "--levels", "2", "--N", "22"], None),
+        (["--points", "64", "--levels", "2", "--N", "23"], "N"),
+        (["--points", "64", "--levels", "2", "--n", "53"], None),
+        (["--points", "64", "--levels", "2", "--n", "54"], "n"),
+    ])
+    def test_basis_cap_edges(self, argv, field, capsys):
+        # the largest basis of each solver meets --points exactly at the edge
+        code = run(["verify", "--a", "1.2", *argv])
+        err = capsys.readouterr().err
+        if field is None:
+            assert code == 0, err
+        else:
+            assert code == 2 and ("error: %s: " % field) in err, err
+
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--a", "1e308"], "alpha = inf"),
         (["wavefunction", "--a", "1e300", "--b", "1e300"], "C = exp("),
-        (["wavefunction", "--beta", "1e100", "--nr", "3", "--ntheta", "3"], "h_n = exp("),
+        # for n >> m'^2, h_n approaches 2^(2m'+1) / (2n), beyond a float at m' = 447
+        (["wavefunction", "--beta", "2e5", "--n", "10000", "--nr", "3", "--ntheta", "3"],
+         "h_n = exp("),
         # E = c - 2 mu a^2 / (hbar^2 den^2) stays finite, but the decay rate
         # 2 mu a / (hbar^2 den) = 1e200 makes the grid step square to zero
         (["verify", "--hbar", "1e-100", "--points", "64", "--levels", "2"],
@@ -495,19 +515,16 @@ from ringcoulomb import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["spectrum", "--N", "0..1"]),
              cli.main(["wavefunction", "--nr", "5", "--ntheta", "5"]),
-             cli.main(["reduce", "--case", "kratzer"])]
-    scipy_before = "scipy" in sys.modules
-    verify = cli.main(["verify"])
-print(json.dumps({"codes": codes, "scipy_before": scipy_before,
-                  "verify": verify, "scipy_after": "scipy" in sys.modules}))
+             cli.main(["reduce", "--case", "kratzer"]),
+             cli.main(["verify"])]
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
 """
 
 
-def test_only_verify_loads_scipy():
-    """scipy costs most of the start-up, and only verify's eigensolver needs it."""
+def test_no_command_loads_scipy():
+    """scipy is not a runtime dependency; verify's eigensolves use numpy alone."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0, 0, 0], "scipy_before": False,
-                                       "verify": 0, "scipy_after": True}
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "scipy": False}

@@ -254,6 +254,17 @@ class TestQuantization:
                 assert eps == pytest.approx(alpha / (2 * n + 2), rel=1e-15)
 
 
+    @pytest.mark.parametrize("N", [10**4, 10**5, 10**6])
+    def test_large_radial_index(self, N):
+        # b^2 and 4ac of the k-equation both approach 4 alpha^2 here
+        eps = nu.quantize_epsilon(2.0, 5.0, N, verify=True)
+        assert eps == pytest.approx(2.0 / (2 * N + 1 + math.sqrt(21.0)), rel=1e-12)
+        # 4 gamma + 1 = 25 keeps every root rational, so exact mode runs too
+        eps = F(2, 2 * N + 6)
+        ks = nu.k_candidates(radial(2.0, 6.0, float(eps)))
+        assert nu.k_candidates(radial(F(2), F(6), eps)) == [2 - 5 * eps, 2 + 5 * eps]
+        assert ks == pytest.approx([float(2 - 5 * eps), float(2 + 5 * eps)], rel=1e-15)
+
 class TestExactMode:
     def test_inexact_root_raises(self):
         # 4*gamma + 1 = 5 is not a perfect rational square

@@ -1,22 +1,24 @@
-"""Finite-difference eigensolvers against known spectra and negative controls."""
+"""Spectral eigensolvers against known spectra, accuracy grids and negative controls."""
 
 import collections
+import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ringcoulomb import oracle, spectrum
 from ringcoulomb.oracle import (
+    BasisSizeError,
     GridSpec,
-    GridTooCoarse,
     OracleError,
-    SpectrumPollution,
     VerifyTolerances,
 )
 
 CONSTS = spectrum.PhysicalConstants()
+GRID = GridSpec()
 
 
 def closed_form_e(alpha, gamma, N):
@@ -25,100 +27,134 @@ def closed_form_e(alpha, gamma, N):
 
 class TestRadialEigen:
     def test_hydrogen_ground_state(self):
-        grid = oracle.radial_grid_for(2.0, 0.0, 1)
-        res = oracle.radial_eigen(2.0, 0.0, grid, 1)
-        assert res.richardson[0] == pytest.approx(-1.0, rel=1e-5)
+        res = oracle.radial_eigen(2.0, 0.0, GRID, 1)
+        assert res.eigenvalues[0] == pytest.approx(-1.0, rel=1e-12)
 
     def test_inverse_square_core(self):
-        grid = oracle.radial_grid_for(2.0, 2.0, 1)
-        res = oracle.radial_eigen(2.0, 2.0, grid, 1)
-        assert res.richardson[0] == pytest.approx(-0.25, rel=1e-4)
+        res = oracle.radial_eigen(2.0, 2.0, GRID, 1)
+        assert res.eigenvalues[0] == pytest.approx(-0.25, rel=1e-12)
 
     def test_spacing_law(self):
         gamma = 2.0
-        grid = oracle.radial_grid_for(2.0, gamma, 2)
-        res = oracle.radial_eigen(2.0, gamma, grid, 2)
+        res = oracle.radial_eigen(2.0, gamma, GRID, 2)
         q = math.sqrt(4.0 * gamma + 1.0)
         want = ((1.0 + q) / (3.0 + q)) ** 2
-        assert res.richardson[1] / res.richardson[0] == pytest.approx(want,
-                                                                      rel=1e-4)
+        assert res.eigenvalues[1] / res.eigenvalues[0] == pytest.approx(want, rel=1e-12)
 
     def test_bound_count_with_decay_rule(self):
-        grid = oracle.radial_grid_for(2.0, 0.0, 5)
-        res = oracle.radial_eigen(2.0, 0.0, grid, 5)
-        assert np.all(res.richardson < 0.0)
+        res = oracle.radial_eigen(2.0, 0.0, GRID, 5)
+        assert np.all(res.eigenvalues < 0.0)
         assert np.all(np.diff(res.eigenvalues) > 0.0)
 
-    def test_second_order_convergence_on_smooth_case(self):
-        # integer indicial exponent, so the raw error is cleanly O(h^2)
-        grid = GridSpec(x_min=0.0, x_max=40.0 / (2.0 / 6.0), n_points=800,
-                        refinement_levels=4)
-        res = oracle.radial_eigen(2.0, 2.0, grid, 1)
+    def test_error_falls_with_basis_size(self):
+        # the scale follows the slowest of ten states, so the basis decays far
+        # more slowly than the ground state and converges on it only with K
+        res = oracle.radial_eigen(2.0, 2.0, GridSpec(refinement_levels=3), 10)
         target = closed_form_e(2.0, 2.0, 0)
-        errs = [abs(lv[0] - target) for lv in res.levels]
-        ratios = [errs[i] / errs[i + 1] for i in range(3)]
-        assert all(3.0 <= r <= 5.0 for r in ratios)
+        errs = [abs(level[0] / target - 1.0) for level in res.levels]
+        assert errs[0] > 1e-8 and 1e-12 < errs[1] < 1e-9 and errs[2] < 1e-13
+        assert res.est_error[0] == abs(res.levels[-1][0] - res.levels[-2][0])
 
     def test_gamma_domain_guard(self):
-        grid = GridSpec(x_min=0.0, x_max=40.0, n_points=200)
         with pytest.raises(OracleError):
-            oracle.radial_eigen(2.0, -0.1, grid, 1)
-
-    def test_truncated_start_keeps_plain_coefficients(self):
-        # an x_min > 0 grid must still converge (hydrogen-like, s states)
-        grid = GridSpec(x_min=1e-6, x_max=40.0, n_points=1500)
-        res = oracle.radial_eigen(2.0, 0.0, grid, 1)
-        assert res.richardson[0] == pytest.approx(-1.0, rel=1e-4)
+            oracle.radial_eigen(2.0, -0.1, GRID, 1)
 
 
 class TestAngularEigen:
     def test_legendre_ladder(self):
-        res = oracle.angular_eigen(0, 0.0, CONSTS, oracle.angular_grid(), 4)
+        res = oracle.angular_eigen(0, 0.0, CONSTS, GRID, 4)
         for n, want in enumerate((0.0, 2.0, 6.0, 12.0)):
-            assert res.richardson[n] == pytest.approx(want, abs=1e-5)
+            assert res.eigenvalues[n] == pytest.approx(want, abs=1e-12)
 
     def test_order_one_ladder(self):
-        res = oracle.angular_eigen(1, 0.0, CONSTS, oracle.angular_grid(), 3)
+        res = oracle.angular_eigen(1, 0.0, CONSTS, GRID, 3)
         for n, want in enumerate((2.0, 6.0, 12.0)):
-            assert res.richardson[n] == pytest.approx(want, abs=1e-5)
+            assert res.eigenvalues[n] == pytest.approx(want, abs=1e-12)
 
     def test_ring_shifted_ground_value(self):
         # m=3, beta=8 gives m'=5 and Lambda_0 = 30 - 16 = 14
-        res = oracle.angular_eigen(3, 8.0, CONSTS, oracle.angular_grid(), 1)
-        assert res.richardson[0] == pytest.approx(14.0, abs=1e-4)
+        res = oracle.angular_eigen(3, 8.0, CONSTS, GRID, 1)
+        assert res.eigenvalues[0] == pytest.approx(14.0, abs=1e-12)
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
-            oracle.angular_eigen(-1, 0.0, CONSTS, oracle.angular_grid(), 1)
+            oracle.angular_eigen(-1, 0.0, CONSTS, GRID, 1)
+
+    def test_exact_from_n_plus_one_functions(self):
+        # the basis holds the eigenfunctions, so every K step agrees to roundoff
+        res = oracle.angular_eigen(2, 0.35, CONSTS, GRID, 6)
+        for level in res.levels:
+            assert np.allclose(level, res.eigenvalues, rtol=0.0, atol=1e-12)
+
+
+class TestAccuracyGrid:
+    """Both solvers against the closed forms over the parameter ranges they serve."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-8, 0.3, 2.0, 1e4, 1e6])
+    def test_radial(self, gamma):
+        # as verify uses it: state N is the slowest of the N + 1 solved for
+        for N in (0, 1, 2, 5, 13, 30, 50):
+            res = oracle.radial_eigen(1.3, gamma, GRID, N + 1)
+            assert res.eigenvalues[N] == pytest.approx(closed_form_e(1.3, gamma, N),
+                                                       rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.01, 0.3, 0.7, 2.0, 37.0, 1e3])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_angular(self, m, kappa):
+        # kappa = 0.01 and 0.3 at m = 0 give 0 < m' < 1
+        consts = spectrum.PhysicalConstants(mu=0.5)      # kappa = beta
+        res = oracle.angular_eigen(m, kappa, consts, GRID, 51)
+        mp = math.sqrt(m * m + kappa)
+        want = np.array([(n + mp) * (n + mp + 1.0) - kappa for n in range(51)])
+        assert np.max(np.abs(res.eigenvalues - want) / np.maximum(1.0, want)) < 1e-12
+
+    def test_large_basis_raises_no_warning(self):
+        # the Christoffel sum of the outer nodes would overflow a float here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = oracle.radial_eigen(1.0, 0.3, GridSpec(n_points=2048), 95)
+            ang = oracle.angular_eigen(1, 3.0, CONSTS, GridSpec(n_points=2048), 200)
+        assert res.levels[-1].size == 95 and np.isfinite(res.eigenvalues).all()
+        assert np.isfinite(ang.eigenvalues).all()
 
 
 class TestGridSpec:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GridSpec(x_min=1.0, x_max=0.5)
-        with pytest.raises(ValueError):
-            GridSpec(x_min=0.0, x_max=1.0, n_points=10)
-        with pytest.raises(ValueError):
-            GridSpec(x_min=0.0, x_max=1.0, refinement_levels=1)
+        for kwargs in ({"n_points": oracle.MIN_POINTS - 1},
+                       {"n_points": oracle.MAX_POINTS + 1},
+                       {"refinement_levels": oracle.MIN_LEVELS - 1},
+                       {"refinement_levels": oracle.MAX_LEVELS + 1}):
+            with pytest.raises(BasisSizeError):
+                GridSpec(**kwargs)
+        GridSpec(n_points=oracle.MIN_POINTS, refinement_levels=oracle.MAX_LEVELS)
+        GridSpec(n_points=oracle.MAX_POINTS, refinement_levels=oracle.MIN_LEVELS)
+
+    @pytest.mark.parametrize("solver, first", [
+        ("radial", lambda k: 2 * k + 8),
+        ("angular", lambda k: k),
+    ])
+    def test_largest_basis_meets_the_cap(self, solver, first):
+        sizes = getattr(GridSpec(n_points=100, refinement_levels=3), solver + "_sizes")
+        fits = max(k for k in range(1, 101) if first(k) + 20 <= 100)
+        assert sizes(fits) == [first(fits), first(fits) + 10, first(fits) + 20]
+        with pytest.raises(BasisSizeError, match="more than the cap of 100"):
+            sizes(fits + 1)
 
 
 class TestGridOutOfRange:
-    """Grids or matrices beyond the float range raise GridOutOfRange."""
+    """Basis scales or matrices beyond the float range raise GridOutOfRange."""
 
     def test_decay_too_slow_for_a_finite_grid(self):
-        with pytest.raises(oracle.GridOutOfRange, match="finite grid"):
-            oracle.radial_grid_for(1e-320, 1e10, 1)
+        with pytest.raises(oracle.GridOutOfRange, match="overflows"):
+            oracle.radial_eigen(1e-320, 1e10, GRID, 1)
 
     def test_grid_step_underflows(self):
-        grid = oracle.radial_grid_for(2e200, 0.0, 1, n_points=64, refinement_levels=2)
         with pytest.raises(oracle.GridOutOfRange, match="underflows"):
-            oracle.radial_eigen(2e200, 0.0, grid, 1)
+            oracle.radial_eigen(2e200, 0.0, GRID, 1)
 
     def test_matrix_entries_beyond_a_float(self):
-        grid = oracle.angular_grid(n_points=64, refinement_levels=2)
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(oracle.GridOutOfRange, match="float range"):
-            oracle.angular_eigen(0, 1e308, spectrum.PhysicalConstants(mu=2.0), grid, 1)
+        with pytest.raises(oracle.GridOutOfRange, match="float range"):
+            oracle.angular_eigen(0, 1e308, spectrum.PhysicalConstants(mu=2.0), GRID, 1)
 
 
 class TestConvergenceGuards:
@@ -128,25 +164,10 @@ class TestConvergenceGuards:
         lambda grid, k: oracle.angular_eigen(0, 0.0, CONSTS, grid, k),
     ], ids=["radial", "angular"])
     def test_more_states_than_base_grid_nodes(self, solve, k_states):
-        grid = GridSpec(0.0, math.pi, n_points=64, refinement_levels=2)
-        with pytest.raises(GridTooCoarse, match="nodes of the base grid"):
+        # 65 states never fit in a basis of 64 functions
+        grid = GridSpec(n_points=64, refinement_levels=2)
+        with pytest.raises(BasisSizeError, match="more than the cap of 64"):
             solve(grid, k_states)
-
-    def test_grid_too_coarse_on_growing_differences(self):
-        levels = [np.array([1.0]), np.array([1.1]), np.array([1.4])]
-        with pytest.raises(GridTooCoarse):
-            oracle._check_level_convergence(levels, [1.0, 1.0, 1.0])
-
-    def test_pollution_on_gap_sized_jump(self):
-        levels = [np.array([1.0, 1.2]), np.array([1.15, 1.21]),
-                  np.array([1.19, 1.21])]
-        with pytest.raises(SpectrumPollution):
-            oracle._check_level_convergence(levels, [1.0, 1.0, 1.0])
-
-    def test_noise_floor_exempts_converged_values(self):
-        levels = [np.array([1.0]), np.array([1.0 + 1e-13]),
-                  np.array([1.0 + 5e-13])]
-        oracle._check_level_convergence(levels, [1e3, 1e3, 1e3])
 
 
 class TestOdeResiduals:
@@ -199,6 +220,23 @@ class TestVerifyState:
         status = {c.name: c.status for c in report.checks}
         assert status["radial_energy"] == "fail"
         assert not report.passed
+
+    @pytest.mark.parametrize("m, beta", [(0, 0.0), (1, 0.4), (2, 37.0)])
+    def test_lambda_offset_fails_angular_lambda(self, monkeypatch, m, beta):
+        # a closed form 1e-3 off in Lambda, ten times the default tolerance
+        energy = spectrum.energy
+
+        def shifted(params, consts, q):
+            entry = energy(params, consts, q)
+            eff = dataclasses.replace(entry.eff, Lambda=entry.eff.Lambda + 1e-3)
+            return dataclasses.replace(entry, eff=eff)
+
+        params = spectrum.PotentialParams(a=1.0, b=0.2, beta=beta)
+        q = spectrum.QuantumNumbers(1, 2, m)
+        assert oracle.verify_state(params, CONSTS, q).passed
+        monkeypatch.setattr(oracle.spectrum, "energy", shifted)
+        status = {c.name: c.status for c in oracle.verify_state(params, CONSTS, q).checks}
+        assert status["angular_lambda"] == "fail"
 
     def test_small_gamma_stress_case(self):
         # b slightly above beta with both small: gamma just above zero, the

@@ -153,6 +153,26 @@ class TestAngular:
                 assert wf.log_jacobi_norm(n, float(mp)) == pytest.approx(float(want),
                                                                          rel=1e-11)
 
+    @pytest.mark.parametrize("mp", [30.0, 50.0, 50.000001, 51.0, 1e3, 1e10, 1e20, 1e50, 1e100])
+    def test_log_jacobi_norm_at_large_m_prime(self, mp):
+        # past JACOBI_NORM_LARGE_MP the log-Gamma sum cancels to nothing; the
+        # reference carries log10(m') more digits so that its own sum keeps 50
+        with mpmath.workdps(50 + int(math.log10(mp))):
+            m = mpmath.mpf(mp)
+            for n in range(6):
+                want = ((2 * m + 1) * mpmath.log(2) + 2 * mpmath.loggamma(n + m + 1)
+                        - mpmath.log(2 * n + 2 * m + 1) - mpmath.loggamma(n + 1)
+                        - mpmath.loggamma(n + 2 * m + 1))
+                assert wf.log_jacobi_norm(n, mp) == pytest.approx(float(want), rel=2e-15)
+
+    def test_norm_is_always_the_closed_form(self):
+        # the textbook prefactor is a diagnostic; the norm is h_n^(-1/2) either way
+        for n, mp, adjusted in ((0, 0.0, False), (1, 0.0, False), (1, 1.0, True),
+                                (0, 2.0, True)):
+            state = wf.angular_state(n, mp, 3)
+            assert state.adjusted is adjusted
+            assert state.norm == 1.0 / math.sqrt(math.exp(wf.log_jacobi_norm(n, mp)))
+
     def test_every_state_is_unit_normalized(self):
         rng = np.random.default_rng(13)
         for _ in range(12):
