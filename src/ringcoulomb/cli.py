@@ -3,7 +3,13 @@
 Output is deterministic: fixed column order, shortest round-trip float
 formatting (repr), no timestamps.  Exit codes: 0 success, 1 a verification or
 reduction check failed or the computation itself failed, 2 invalid
-configuration (one diagnostic line per offending field on stderr).
+configuration (one ``error: <field>: <message>`` line per offending field on
+stderr).
+
+``_COMMANDS`` declares each command's handler, help line and keys; a key is
+the flag ``--key`` (``_`` written ``-``) and a ``--config`` entry.  argparse
+only places flag text, so every value, from a flag or a file, meets the same
+readers, and an argument that is not a flag of the command is a problem.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ MAX_SAMPLES = 10**6         # wavefunction nr * ntheta
 MAX_DEGREE = 10**4          # wavefunction N and n: one numpy pass per polynomial degree
 
 
-def _parse_range(text: str, field: str, problems: list) -> list:
+def _parse_range(text: str, field: str, problems: list, allow_empty: bool = True) -> list:
     s = str(text).strip()
     try:
         if ".." in s:
@@ -67,6 +73,9 @@ def _parse_range(text: str, field: str, problems: list) -> list:
     if lo < 0:
         problems.append((field, "indices must be nonnegative, got %r" % text))
         return []
+    if hi < lo and not allow_empty:
+        problems.append((field, "the range %r holds no index" % text))
+        return []
     if hi - lo + 1 > MAX_STATES:
         problems.append((field, "range holds %d indices, more than %d"
                          % (hi - lo + 1, MAX_STATES)))
@@ -74,80 +83,15 @@ def _parse_range(text: str, field: str, problems: list) -> list:
     return list(range(lo, hi + 1))
 
 
-def _state_ranges(cfg: dict, problems: list) -> list:
+def _state_ranges(cfg: dict, problems: list, allow_empty: bool = True) -> list:
     """The N, n and m ranges, holding at most MAX_STATES states together."""
-    ranges = [_parse_range(cfg.get(key, "0"), key, problems) for key in ("N", "n", "m")]
+    ranges = [_parse_range(cfg.get(key, "0"), key, problems, allow_empty)
+              for key in ("N", "n", "m")]
     count = math.prod(map(len, ranges))
     if count > MAX_STATES:
         problems.append(("states", "N, n and m ranges hold %d states, more than %d"
                          % (count, MAX_STATES)))
     return ranges
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--a", type=float, default=None)
-    parser.add_argument("--b", type=float, default=None)
-    parser.add_argument("--c", type=float, default=None)
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--D", type=int, default=None)
-    parser.add_argument("--mu", type=float, default=None)
-    parser.add_argument("--hbar", type=float, default=None)
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--config", type=str, default=None)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ringcoulomb",
-        description="Bound states of the pseudo-Coulomb plus ring-shaped "
-                    "potential in D dimensions")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="energy table over quantum-number ranges")
-    _add_common(p)
-    p.add_argument("--N", type=str, default=None)
-    p.add_argument("--n", type=str, default=None)
-    p.add_argument("--m", type=str, default=None)
-
-    p = sub.add_parser("wavefunction", help="density grid of one state")
-    _add_common(p)
-    p.add_argument("--N", type=str, default=None)
-    p.add_argument("--n", type=str, default=None)
-    p.add_argument("--m", type=str, default=None)
-    p.add_argument("--nr", type=int, default=None)
-    p.add_argument("--ntheta", type=int, default=None)
-    p.add_argument("--r-max", dest="r_max", type=float, default=None)
-
-    p = sub.add_parser("verify", help="spectral eigensolver cross-check of states")
-    _add_common(p)
-    p.add_argument("--N", type=str, default=None)
-    p.add_argument("--n", type=str, default=None)
-    p.add_argument("--m", type=str, default=None)
-    p.add_argument("--tol-energy", dest="tol_energy", type=float, default=None)
-    p.add_argument("--tol-lambda", dest="tol_lambda", type=float, default=None)
-    p.add_argument("--tol-residual", dest="tol_residual", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--perturb-energy", dest="perturb_energy", type=float, default=None)
-
-    p = sub.add_parser("reduce", help="limiting-case formulas vs the general one")
-    _add_common(p)
-    p.add_argument("--case", choices=("cheng-dai", "kratzer", "ddim", "coulomb-ring"),
-                   default=None)
-    p.add_argument("--negative-control", dest="negative_control", type=int,
-                   default=None)
-
-    return parser
-
-
-_KNOWN_KEYS = frozenset([
-    "a", "b", "c", "beta", "D", "mu", "hbar", "format", "out",
-    "N", "n", "m", "nr", "ntheta", "r_max",
-    "tol_energy", "tol_lambda", "tol_residual", "points", "levels",
-    "perturb_energy", "case", "negative_control",
-])
 
 
 def _merge_config(args: argparse.Namespace, problems: list) -> dict:
@@ -162,11 +106,8 @@ def _merge_config(args: argparse.Namespace, problems: list) -> dict:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:    # unreadable, not UTF-8 or not JSON
             problems.append(("config", "cannot read %r: %s" % (args.config, exc)))
-            loaded = {}
-        except json.JSONDecodeError as exc:
-            problems.append(("config", "not valid JSON: %s" % exc))
             loaded = {}
         if not isinstance(loaded, dict):
             problems.append(("config", "top level must be a flat JSON object"))
@@ -177,19 +118,17 @@ def _merge_config(args: argparse.Namespace, problems: list) -> dict:
                 problems.append((str(key), "unknown configuration key"))
                 continue
             merged[name] = value
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            merged[key] = value
-    if merged.get("format", "csv") not in ("csv", "json"):
-        problems.append(("format", "must be csv or json, got %r" % (merged["format"],)))
+    merged.update((key, value) for key, value in vars(args).items()
+                  if key in _KNOWN_KEYS and value is not None)
     return merged
 
 
 def _number(cfg: dict, key: str, default: float, problems: list) -> float:
-    """A finite float from the config; on a problem, record it and return the default."""
-    value = cfg.get(key, default)
+    """A finite float from the config, the default if the key is absent; on a
+    problem, record it and return the default."""
+    if key not in cfg:
+        return default
+    value = cfg[key]
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -205,7 +144,9 @@ def _number(cfg: dict, key: str, default: float, problems: list) -> float:
 
 def _integer(cfg: dict, key: str, default: int, problems: list) -> int:
     """An integer from the config (an int, an integral float or a decimal string)."""
-    value = cfg.get(key, default)
+    if key not in cfg:
+        return default
+    value = cfg[key]
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
@@ -219,23 +160,27 @@ def _integer(cfg: dict, key: str, default: int, problems: list) -> int:
     return default
 
 
-def _physics(cfg: dict, problems: list):
-    a = _number(cfg, "a", 1.0, problems)
-    b = _number(cfg, "b", 0.0, problems)
-    c = _number(cfg, "c", 0.0, problems)
-    beta = _number(cfg, "beta", 0.0, problems)
-    D = _integer(cfg, "D", 3, problems)
+def _choice(cfg: dict, key: str, choices: tuple, default, problems: list):
+    """One of ``choices`` from the config; on a problem, record it and return the default."""
+    value = cfg.get(key, default)
+    if value not in choices:
+        problems.append((key, "must be one of %s; got %r" % (", ".join(choices), value)))
+        return default
+    return value
+
+
+def _output(cfg: dict, default_format: str, problems: list):
+    """The output format and the --out path (None: stdout)."""
+    fmt = _choice(cfg, "format", ("csv", "json"), default_format, problems)
+    out = cfg.get("out")
+    if out is not None and not isinstance(out, str):
+        problems.append(("out", "must be a file path, got %r" % (out,)))
+    return fmt, out
+
+
+def _constants(cfg: dict, problems: list) -> spectrum.PhysicalConstants:
     mu = _number(cfg, "mu", 1.0, problems)
     hbar = _number(cfg, "hbar", 1.0, problems)
-    if a <= 0:
-        problems.append(("a", "must be positive for bound states, got %r" % a))
-    if b < 0:
-        problems.append(("b", "must be nonnegative, got %r" % b))
-    if beta < 0:
-        problems.append(("beta", "must be nonnegative, got %r" % beta))
-    if D < 2:
-        problems.append(("D", "must be at least 2, got %r" % D))
-        D = 3
     if mu <= 0:
         problems.append(("mu", "must be positive, got %r" % mu))
         mu = 1.0
@@ -245,20 +190,40 @@ def _physics(cfg: dict, problems: list):
     elif not 0 < hbar * hbar < math.inf:
         problems.append(("hbar", "hbar^2 = %r is outside the float range" % (hbar * hbar)))
         hbar = 1.0
+    return spectrum.PhysicalConstants(mu=mu, hbar=hbar)
+
+
+def _physics(cfg: dict, problems: list):
+    a = _number(cfg, "a", 1.0, problems)
+    b = _number(cfg, "b", 0.0, problems)
+    c = _number(cfg, "c", 0.0, problems)
+    beta = _number(cfg, "beta", 0.0, problems)
+    D = _integer(cfg, "D", 3, problems)
+    if a <= 0:
+        problems.append(("a", "must be positive for bound states, got %r" % a))
+    if b < 0:
+        problems.append(("b", "must be nonnegative, got %r" % b))
+    if beta < 0:
+        problems.append(("beta", "must be nonnegative, got %r" % beta))
+    if D < 2:
+        problems.append(("D", "must be at least 2, got %r" % D))
+    consts = _constants(cfg, problems)
     params = None
     if not problems:
         params = spectrum.PotentialParams(a=a, b=b, c=c, beta=beta, D=D)
-    consts = spectrum.PhysicalConstants(mu=mu, hbar=hbar)
     return params, consts, {"a": a, "b": b, "c": c, "beta": beta, "D": D,
-                            "mu": mu, "hbar": hbar}
+                            "mu": consts.mu, "hbar": consts.hbar}
 
 
 def _emit(text: str, out_path) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError([("out", "cannot write %r: %s" % (out_path, exc))]) from None
 
 
 def _json_value(value) -> str:
@@ -323,12 +288,12 @@ _SPECTRUM_COLUMNS = ["N", "n", "m", "m_prime", "ell_prime", "L", "N_prime",
 
 
 def _cmd_spectrum(cfg: dict, problems: list) -> int:
+    fmt, out = _output(cfg, "csv", problems)
     params, consts, meta_phys = _physics(cfg, problems)
     Ns, ns, ms = _state_ranges(cfg, problems)
     if problems:
         raise ConfigError(problems)
 
-    fmt = cfg.get("format", "csv")
     if fmt == "json":
         cell, template = _json_value, _json_row_template(_SPECTRUM_COLUMNS)
     else:
@@ -363,7 +328,7 @@ def _cmd_spectrum(cfg: dict, problems: list) -> int:
 
     meta = {"command": "spectrum", **meta_phys,
             "N": cfg.get("N", "0"), "n": cfg.get("n", "0"), "m": cfg.get("m", "0")}
-    _emit(_frame(fmt, meta, _SPECTRUM_COLUMNS, [row[5] for row in rows]), cfg.get("out"))
+    _emit(_frame(fmt, meta, _SPECTRUM_COLUMNS, [row[5] for row in rows]), out)
     return 0
 
 
@@ -380,10 +345,9 @@ def _single_index(cfg, key, problems) -> int:
 
 
 def _cmd_wavefunction(cfg: dict, problems: list) -> int:
+    fmt, out = _output(cfg, "csv", problems)
     params, consts, meta_phys = _physics(cfg, problems)
-    N = _single_index(cfg, "N", problems)
-    n = _single_index(cfg, "n", problems)
-    m = _single_index(cfg, "m", problems)
+    N, n, m = (_single_index(cfg, key, problems) for key in ("N", "n", "m"))
     nr = _integer(cfg, "nr", 100, problems)
     ntheta = _integer(cfg, "ntheta", 50, problems)
     for key, degree in (("N", N), ("n", n)):
@@ -396,11 +360,9 @@ def _cmd_wavefunction(cfg: dict, problems: list) -> int:
     if min(nr, ntheta) >= 2 and nr * ntheta > MAX_SAMPLES:
         problems.append(("ntheta", "nr * ntheta = %d samples, more than %d"
                          % (nr * ntheta, MAX_SAMPLES)))
-    r_max = None
-    if cfg.get("r_max") is not None:
-        r_max = _number(cfg, "r_max", 1.0, problems)
-        if r_max <= 0:
-            problems.append(("r_max", "must be positive, got %r" % r_max))
+    r_max = _number(cfg, "r_max", None, problems)
+    if r_max is not None and r_max <= 0:
+        problems.append(("r_max", "must be positive, got %r" % r_max))
     if problems:
         raise ConfigError(problems)
 
@@ -429,24 +391,17 @@ def _cmd_wavefunction(cfg: dict, problems: list) -> int:
     if bad:
         raise ConfigError([("state", "N=%d n=%d m=%d gives a non-finite density at "
                                      "%d of %d grid points" % (N, n, m, bad, density.size))])
-    density = density.tolist()
+    # every sample is a finite float, which CSV and JSON both render as repr;
+    # each r and theta cell is rendered once with the text around it, so only
+    # the density is rendered per sample (about 3x the samples/s of _table)
     columns = ["r", "theta", "density"]
-    fmt = cfg.get("format", "csv")
-    if fmt == "json":
-        theta_list = theta_grid.tolist()
-        text = _table(fmt, meta, columns,
-                      [(r, theta, d) for r, row in zip(r_grid.tolist(), density)
-                       for theta, d in zip(theta_list, row)])
-    else:
-        # both axes are finite floats, formatted once each; only the density is
-        # formatted per sample (about 3x the samples/s of _table on density_grid)
-        r_cells = [repr(r) for r in r_grid.tolist()]
-        theta_cells = [repr(theta) for theta in theta_grid.tolist()]
-        text = _frame(fmt, meta, columns,
-                      [r + "," + theta + "," + repr(d)
-                       for r, row in zip(r_cells, density)
-                       for theta, d in zip(theta_cells, row)])
-    _emit(text, cfg.get("out"))
+    template = _json_row_template(columns) if fmt == "json" else "%s,%s,%s"
+    head, mid, tail, end = template.split("%s")
+    r_cells = [head + repr(r) + mid for r in r_grid.tolist()]
+    theta_cells = [repr(theta) + tail for theta in theta_grid.tolist()]
+    _emit(_frame(fmt, meta, columns, [r + theta + repr(d) + end
+                                      for r, row in zip(r_cells, density.tolist())
+                                      for theta, d in zip(theta_cells, row)]), out)
     return 0
 
 
@@ -458,8 +413,10 @@ _VERIFY_COLUMNS = ["name", "status", "value", "target", "tolerance", "error_esti
 
 
 def _cmd_verify(cfg: dict, problems: list) -> int:
+    # the verification report is JSON-first; CSV mirrors the same fields
+    fmt, out = _output(cfg, "json", problems)
     params, consts, meta_phys = _physics(cfg, problems)
-    ranges = _state_ranges(cfg, problems)
+    ranges = _state_ranges(cfg, problems, allow_empty=False)
     tol = oracle.VerifyTolerances(
         energy_rel=_number(cfg, "tol_energy", 1e-4, problems),
         lambda_abs=_number(cfg, "tol_lambda", 1e-4, problems),
@@ -487,8 +444,8 @@ def _cmd_verify(cfg: dict, problems: list) -> int:
 
     states = [spectrum.QuantumNumbers(N=N, n=n, m=m)
               for N, n, m in itertools.product(*ranges)]
-    reports = oracle.verify_states(params, consts, states, tol, n_points=n_points,
-                                   refinement_levels=levels, energy_offset=offset)
+    reports = oracle.verify_states(params, consts, states, tol, grid=grid,
+                                   energy_offset=offset)
 
     checks = [("N%d_n%d_m%d.%s" % (q.N, q.n, q.m, c.name), c.status, c.value,
                c.target, c.tolerance, c.error_estimate)
@@ -499,9 +456,7 @@ def _cmd_verify(cfg: dict, problems: list) -> int:
             "tol_energy": tol.energy_rel, "tol_lambda": tol.lambda_abs,
             "tol_residual": tol.residual_rel, "points": n_points,
             "levels": levels, "perturb_energy": offset}
-    # the verification report is JSON-first; CSV mirrors the same fields
-    _emit(_table(cfg.get("format", "json"), meta, _VERIFY_COLUMNS, checks, key="checks"),
-          cfg.get("out"))
+    _emit(_table(fmt, meta, _VERIFY_COLUMNS, checks, key="checks"), out)
     return 0 if all_passed else 1
 
 
@@ -510,6 +465,7 @@ def _cmd_verify(cfg: dict, problems: list) -> int:
 # ---------------------------------------------------------------------------
 
 _REL_TOL_REDUCE = 1e-12
+_REDUCE_CASES = ("cheng-dai", "kratzer", "ddim", "coulomb-ring")
 
 
 def _reduce_rows(case: str, consts, beta_override):
@@ -554,31 +510,17 @@ def _reduce_rows(case: str, consts, beta_override):
 
 
 def _cmd_reduce(cfg: dict, problems: list) -> int:
-    case = cfg.get("case")
-    if case not in ("cheng-dai", "kratzer", "ddim", "coulomb-ring"):
-        problems.append(("case", "must be one of cheng-dai, kratzer, ddim, "
-                                 "coulomb-ring; got %r" % case))
-    beta_override = None
-    if cfg.get("beta") is not None:
-        beta_override = _number(cfg, "beta", 0.0, problems)
-        if case == "kratzer" and beta_override != 0.0:
-            problems.append(("beta", "must be 0 for the kratzer case (the ring "
-                                     "term is absent there)"))
-    mu = _number(cfg, "mu", 1.0, problems)
-    hbar = _number(cfg, "hbar", 1.0, problems)
-    if mu <= 0:
-        problems.append(("mu", "must be positive"))
-    if hbar <= 0:
-        problems.append(("hbar", "must be positive"))
-    elif not 0 < hbar * hbar < math.inf:
-        problems.append(("hbar", "hbar^2 = %r is outside the float range" % (hbar * hbar)))
-    seed = None
-    if cfg.get("negative_control") is not None:
-        seed = _integer(cfg, "negative_control", 0, problems)
+    fmt, out = _output(cfg, "csv", problems)
+    case = _choice(cfg, "case", _REDUCE_CASES, None, problems)
+    beta_override = _number(cfg, "beta", None, problems)
+    if case == "kratzer" and beta_override not in (None, 0.0):
+        problems.append(("beta", "must be 0 for the kratzer case (the ring "
+                                 "term is absent there)"))
+    consts = _constants(cfg, problems)
+    seed = _integer(cfg, "negative_control", None, problems)
     if problems:
         raise ConfigError(problems)
 
-    consts = spectrum.PhysicalConstants(mu=mu, hbar=hbar)
     rows = _reduce_rows(case, consts, beta_override)
 
     if seed is not None:
@@ -597,31 +539,79 @@ def _cmd_reduce(cfg: dict, problems: list) -> int:
         worst = max(worst, diff / abs(row["general"]) if row["general"]
                     else math.inf if diff else 0.0)
 
-    meta = {"command": "reduce", "case": case, "mu": mu, "hbar": hbar,
+    meta = {"command": "reduce", "case": case, "mu": consts.mu, "hbar": consts.hbar,
             "rel_tol": _REL_TOL_REDUCE, "worst_rel_diff": worst}
     columns = list(rows[0])
-    _emit(_table(cfg.get("format", "csv"), meta, columns,
-                 [tuple(row.values()) for row in rows]), cfg.get("out"))
+    _emit(_table(fmt, meta, columns, [tuple(row.values()) for row in rows]), out)
     return 0 if all(r["status"] == "ok" for r in rows) else 1
 
 
 # ---------------------------------------------------------------------------
 
+_PHYSICS = ("a", "b", "c", "beta", "D", "mu", "hbar")
+_OUTPUT = ("format", "out")
+_STATES = ("N", "n", "m")
+
+#: command -> (handler, help line, the keys it reads)
 _COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "wavefunction": _cmd_wavefunction,
-    "verify": _cmd_verify,
-    "reduce": _cmd_reduce,
+    "spectrum": (_cmd_spectrum, "energy table over quantum-number ranges",
+                 _PHYSICS + _OUTPUT + _STATES),
+    "wavefunction": (_cmd_wavefunction, "density grid of one state",
+                     _PHYSICS + _OUTPUT + _STATES + ("nr", "ntheta", "r_max")),
+    "verify": (_cmd_verify, "spectral eigensolver cross-check of states",
+               _PHYSICS + _OUTPUT + _STATES + ("tol_energy", "tol_lambda", "tol_residual",
+                                              "points", "levels", "perturb_energy")),
+    "reduce": (_cmd_reduce, "limiting-case formulas vs the general one",
+               ("beta", "mu", "hbar") + _OUTPUT + ("case", "negative_control")),
 }
+_KNOWN_KEYS = frozenset(key for _, _, keys in _COMMANDS.values() for key in keys)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """Flags of every command as plain text; no flag may be abbreviated."""
+    parser = argparse.ArgumentParser(
+        prog="ringcoulomb", allow_abbrev=False, exit_on_error=False,
+        description="Bound states of the pseudo-Coulomb plus ring-shaped "
+                    "potential in D dimensions")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command")
+    for name, (_, help_line, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line, allow_abbrev=False, exit_on_error=False)
+        for key in keys + ("config",):
+            p.add_argument("--" + key.replace("_", "-"))
+    return parser
+
+
+def _parse(argv) -> tuple:
+    """The parsed flags and the problems of every argument argparse could not place."""
+    try:
+        args, extras = _build_parser().parse_known_args(argv)
+    except argparse.ArgumentError as exc:   # a flag without its value, an unknown command
+        flag = (exc.argument_name or "command").split("/")[-1]    # "-h/--help": help
+        field_name = flag.lstrip("-").replace("-", "_")
+        raise ConfigError([(field_name, exc.message)]) from None
+    if args.command is None:
+        raise ConfigError([("command", "missing; choose one of %s" % ", ".join(_COMMANDS))])
+    problems = []
+    value_of_flag = False
+    for arg in extras:
+        if value_of_flag and not arg.startswith("--"):
+            value_of_flag = False       # reported with the flag before it
+            continue
+        key, eq, _ = arg.lstrip("-").partition("=")
+        key = key.replace("-", "_")
+        is_flag = arg.startswith("-") and key.isidentifier()
+        problems.append((key, "not a flag of %s" % args.command) if is_flag
+                        else (args.command, "unexpected argument %r" % arg))
+        value_of_flag = is_flag and not eq
+    return args, problems
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    problems: list = []
-    cfg = _merge_config(args, problems)
     try:
-        return _COMMANDS[args.command](cfg, problems)
+        args, problems = _parse(argv)
+        cfg = _merge_config(args, problems)
+        return _COMMANDS[args.command][0](cfg, problems)
     except ConfigError as exc:
         for field_name, message in exc.problems:
             _diagnose("%s: %s" % (field_name, message))

@@ -167,10 +167,6 @@ class NUBranch:
     tau: Poly2
     sign: int  # which root branch of pi was taken, +1 or -1
 
-    @property
-    def tau_slope(self):
-        return self.tau.c1
-
 
 @dataclass(frozen=True)
 class NUSolution:

@@ -250,11 +250,6 @@ class CheckResult:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, "value": self.value,
-                "target": self.target, "tolerance": self.tolerance,
-                "error_estimate": self.error_estimate}
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -264,8 +259,13 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def as_dict(self) -> dict:
-        return {"checks": [c.as_dict() for c in self.checks]}
+
+#: the ODE residuals sample RESIDUAL_POINTS points of r in RADIAL_WINDOW and of
+#: theta in (POLAR_PAD, pi - POLAR_PAD), with finite-difference step RESIDUAL_STEP
+RESIDUAL_POINTS = 200
+RADIAL_WINDOW = (0.1, 20.0)
+POLAR_PAD = 0.1
+RESIDUAL_STEP = 5e-4
 
 
 def _fd_second(f, x, h):
@@ -280,8 +280,7 @@ def _fd_first(f, x, h):
             - f(x + 2 * h)) / (12.0 * h)
 
 
-def radial_ode_residual(params, consts, entry, *, r_lo=0.1, r_hi=20.0, n_pts=200,
-                        energy_offset=0.0):
+def radial_ode_residual(params, consts, entry, *, energy_offset=0.0):
     """Max residual of g'' + [e + alpha/r - gamma/r^2] g over a test grid.
 
     ``entry`` is the state's ``spectrum.energy`` result.  Returns
@@ -295,16 +294,15 @@ def radial_ode_residual(params, consts, entry, *, r_lo=0.1, r_hi=20.0, n_pts=200
     def g(r):
         return np.power(r, 0.5 * (params.D - 1)) * wavefunctions.radial_R(state, r)
 
-    r = np.linspace(r_lo, r_hi, n_pts)
-    h = 5e-4
+    r = np.linspace(*RADIAL_WINDOW, RESIDUAL_POINTS)
     coef = e + eff.alpha / r - eff.gamma / (r * r)
-    resid = _fd_second(g, r, h) + coef * g(r)
+    resid = _fd_second(g, r, RESIDUAL_STEP) + coef * g(r)
     scale = np.max(np.abs(g(r))) * max(np.max(np.abs(coef)), 1.0)
     return float(np.max(np.abs(resid))), float(scale)
 
 
-def angular_ode_residual(params, consts, entry, *, pad=0.1, n_pts=200):
-    """Max residual of the polar ODE for the analytic H over (pad, pi - pad).
+def angular_ode_residual(params, consts, entry):
+    """Max residual of the polar ODE for the analytic H over (POLAR_PAD, pi - POLAR_PAD).
 
     ``entry`` is the state's ``spectrum.energy`` result.
     """
@@ -315,12 +313,11 @@ def angular_ode_residual(params, consts, entry, *, pad=0.1, n_pts=200):
     def H(theta):
         return wavefunctions.angular_H(state, theta)
 
-    theta = np.linspace(pad, math.pi - pad, n_pts)
-    h = 5e-4
+    theta = np.linspace(POLAR_PAD, math.pi - POLAR_PAD, RESIDUAL_POINTS)
     sin2 = np.sin(theta) ** 2
     coef = eff.Lambda - (q.m**2 + kappa * np.cos(theta) ** 2) / sin2
-    resid = (_fd_second(H, theta, h)
-             + (np.cos(theta) / np.sin(theta)) * _fd_first(H, theta, h)
+    resid = (_fd_second(H, theta, RESIDUAL_STEP)
+             + (np.cos(theta) / np.sin(theta)) * _fd_first(H, theta, RESIDUAL_STEP)
              + coef * H(theta))
     scale = np.max(np.abs(H(theta))) * max(np.max(np.abs(coef)), 1.0)
     return float(np.max(np.abs(resid))), float(scale)
@@ -334,17 +331,15 @@ def _check(name, value, target, error, tolerance, error_estimate=0.0) -> CheckRe
 
 def verify_states(params: spectrum.PotentialParams, consts: spectrum.PhysicalConstants,
                   states, tolerances: VerifyTolerances | None = None, *,
-                  n_points: int = 1500, refinement_levels: int = 3,
-                  energy_offset: float = 0.0) -> list:
+                  grid: GridSpec = GridSpec(), energy_offset: float = 0.0) -> list:
     """Cross-check closed-form states; one report per state, in input order.
 
     The polar equation does not involve N, so states sharing (n, m) share
-    their two angular checks; the radial checks run per state.  ``n_points``
-    and ``refinement_levels`` make the :class:`GridSpec` of every solve.
+    their two angular checks; the radial checks run per state.  ``grid`` sets
+    the basis sizes of every solve.
     """
     angular_checks = {}
-    return [verify_state(params, consts, q, tolerances, n_points=n_points,
-                         refinement_levels=refinement_levels,
+    return [verify_state(params, consts, q, tolerances, grid=grid,
                          energy_offset=energy_offset, angular_checks=angular_checks)
             for q in states]
 
@@ -352,8 +347,7 @@ def verify_states(params: spectrum.PotentialParams, consts: spectrum.PhysicalCon
 def verify_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalConstants,
                  q: spectrum.QuantumNumbers,
                  tolerances: VerifyTolerances | None = None, *,
-                 n_points: int = 1500, refinement_levels: int = 3,
-                 energy_offset: float = 0.0,
+                 grid: GridSpec = GridSpec(), energy_offset: float = 0.0,
                  angular_checks: dict | None = None) -> VerificationReport:
     """Cross-check one closed-form state against the spectral solvers.
 
@@ -367,7 +361,6 @@ def verify_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalCons
     tol = tolerances or VerifyTolerances()
     entry = spectrum.energy(params, consts, q)
     eff = entry.eff
-    grid = GridSpec(n_points=n_points, refinement_levels=refinement_levels)
     angular_checks = {} if angular_checks is None else angular_checks
     if (q.n, q.m) not in angular_checks:
         ang = angular_eigen(q.m, params.beta, consts, grid, q.n + 1)

@@ -201,24 +201,6 @@ def angular_norm_integral(state: AngularState, *, tol=1e-10) -> quadrature.QuadR
     return quadrature.integrate(integrand, 0.0, math.pi, tol=tol)
 
 
-def azimuthal_Phi(m: int, phi, sign: int = +1):
-    """Azimuthal factor exp(+-i m phi) / sqrt(2 pi).
-
-    The phase is reduced modulo 2 pi first, so the period boundary condition
-    Phi(phi + 2 pi) = Phi(phi) holds to roundoff for any m.
-    """
-    if m < 0:
-        raise ValueError("m must be a nonnegative integer")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    pref = 1.0 / math.sqrt(2.0 * math.pi)
-    period = 2.0 * math.pi
-    if np.ndim(phi):
-        reduced = np.remainder(np.asarray(phi, dtype=float), period)
-        return pref * np.exp(1j * sign * m * reduced)
-    return pref * cmath.exp(1j * sign * m * math.remainder(phi, period))
-
-
 @dataclass(frozen=True)
 class EvalPoint:
     r: float
@@ -249,8 +231,11 @@ class BoundState:
         """Total wavefunction through the combined prefactor.
 
         A single exp of summed log terms replaces the product of the three
-        factor constants, so that psi == R * H * Phi pointwise.
+        factor constants, so that psi == R * H * Phi pointwise, with the
+        azimuthal factor Phi = exp(sign i m phi) / sqrt(2 pi) and sign +1 or -1.
         """
+        if sign not in (+1, -1):
+            raise ValueError("sign must be +1 or -1")
         rad, ang = self.radial, self.angular
         log_pref = (log_normalization_C(rad.N, rad.L, rad.epsilon)
                     + math.log(ang.norm) - 0.5 * math.log(2.0 * math.pi))

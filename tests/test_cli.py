@@ -18,6 +18,10 @@ from hypothesis import given, settings, strategies as st
 from ringcoulomb import cli, spectrum
 
 
+#: the one kind of line exit code 2 writes to stderr
+_FIELD_LINE = re.compile(r"^error: \w+: \S", re.M)
+
+
 def run(argv):
     return cli.main(argv)
 
@@ -300,12 +304,31 @@ class TestBadInput:
         # every formula divides by hbar^2
         (["spectrum", "--hbar", "1e308"], "hbar"),
         (["reduce", "--case", "kratzer", "--hbar", "1e-300"], "hbar"),
+        # reduce reads no a, b, c or D; a flag is never abbreviated
+        (["reduce", "--case", "ddim", "--a", "nan"], "a"),
+        (["reduce", "--case", "ddim", "--D", "7"], "D"),
+        (["spectrum", "--conf", "x"], "conf"),
+        # flag text meets the readers a config value meets
+        (["spectrum", "--a", "x"], "a"),
+        (["spectrum", "--format", "xml"], "format"),
+        (["reduce", "--case", "foo"], "case"),
+        (["wavefunction", "--nr", "2.5"], "nr"),
+        # verify never passes having checked nothing
+        (["verify", "--N", "2..1"], "N"),
+        (["verify", "--n", "1..0", "--m", "3..2"], "m"),
+        # what argparse cannot place
+        (["spectrum", "--a"], "a"),
+        (["spectrum", "--a", "1", "2"], "spectrum"),
+        ([], "command"),
+        (["foo"], "command"),
     ])
     def test_flags(self, argv, field, capsys):
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert ("error: %s: " % field) in captured.err
+        # field lines only: no usage block
+        assert all(_FIELD_LINE.match(line) for line in captured.err.splitlines())
 
     @pytest.mark.parametrize("argv, field", [
         (["--points", "2048"], None),
@@ -360,14 +383,31 @@ class TestBadInput:
         ("verify", {"points": "x"}, "points"),
         ("verify", {"levels": 2.5}, "levels"),
         ("reduce", {"case": "ddim", "negative_control": "seven"}, "negative_control"),
+        ("spectrum", {"out": 2.5}, "out"),
     ])
     def test_config_values(self, command, config, field, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(config))
-        assert run([command, "--config", str(cfg)]) == 2
+        runs = [[command, "--config", str(cfg)]]
+        if all(isinstance(value, str) for value in config.values()):
+            # the same text as flags meets the same readers
+            runs.append([command] + ["--%s=%s" % (key.replace("_", "-"), value)
+                                     for key, value in config.items()])
+        lines = []
+        for argv in runs:
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines.append([line for line in captured.err.splitlines()
+                          if line.startswith("error: %s: " % field)])
+        assert len(lines[0]) == 1 and lines.count(lines[0]) == len(lines), lines
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        assert run(["spectrum", "--out", str(tmp_path / "missing" / "spec.csv")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert ("error: %s: " % field) in captured.err
+        assert captured.err.startswith("error: out: cannot write ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("indices", [
         ["--m", "300"],
@@ -416,8 +456,7 @@ _FLAGS = {
     "verify": ("a", "b", "c", "beta", "D", "mu", "hbar", "format", "N", "n", "m",
                "tol-energy", "tol-lambda", "tol-residual", "points", "levels",
                "perturb-energy"),
-    "reduce": ("a", "b", "c", "beta", "D", "mu", "hbar", "format", "case",
-               "negative-control"),
+    "reduce": ("beta", "mu", "hbar", "format", "case", "negative-control"),
 }
 _CONFIG_KEYS = sorted({key.replace("-", "_") for keys in _FLAGS.values() for key in keys}
                       | {"typo"})
@@ -447,15 +486,15 @@ _JSON_JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(10**18, 10**30),
     st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -2.5]),
     st.lists(st.integers(0, 2), max_size=2), st.just({"nested": 1}))
-_FIELD_LINE = re.compile(r"^(\S+ )*error: (argument )?[-\w]+: \S", re.M)
 
 
 @st.composite
 def _invocations(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
-    # sorted, because a set's order of strings changes from process to process
+    # sorted, because a set's order of strings changes from process to process;
+    # "typo" is a flag of no command
     flags = {key: draw(_text_for(key)) for key in sorted(draw(
-        st.sets(st.sampled_from(_FLAGS[command]), max_size=4)))}
+        st.sets(st.sampled_from(_FLAGS[command] + ("typo",)), max_size=4)))}
     config = draw(st.one_of(
         st.none(),
         st.sampled_from(["[1, 2]", "{not json", "7", ""]),
@@ -472,13 +511,11 @@ def _check_exit_contract(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:   # argparse rejects a flag value
-            code = exc.code
+        code = cli.main(argv)
     assert code in (0, 1, 2)
     if code == 2:
-        assert _FIELD_LINE.search(err.getvalue()), err.getvalue()
+        lines = err.getvalue().splitlines()
+        assert lines and all(_FIELD_LINE.match(line) for line in lines), err.getvalue()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=120)

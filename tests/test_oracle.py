@@ -252,7 +252,7 @@ class TestVerifyState:
         report = oracle.verify_state(spectrum.PotentialParams(a=1.0), CONSTS,
                                      spectrum.QuantumNumbers(0, 0, 0),
                                      VerifyTolerances(energy_rel=1e-3))
-        payload = report.as_dict()
+        payload = dataclasses.asdict(report)
         assert set(payload) == {"checks"}
         for check in payload["checks"]:
             assert set(check) == {"name", "status", "value", "target",

@@ -1,5 +1,6 @@
 """Wavefunction normalization, factorization and special-value tests."""
 
+import cmath
 import math
 import sys
 
@@ -207,28 +208,57 @@ class TestAngular:
 
 
 class TestAzimuthal:
+    """The azimuthal factor exp(sign i m phi) / sqrt(2 pi), as psi carries it."""
+
+    PARAMS = spectrum.PotentialParams(a=1.4, b=0.3, beta=1.5)
+
+    def state(self, m):
+        return wf.bound_state(self.PARAMS, CONSTS, spectrum.QuantumNumbers(1, 1, m))
+
     def test_constant_mode(self):
-        val = wf.azimuthal_Phi(0, 1.234)
-        assert val == pytest.approx(1.0 / math.sqrt(2.0 * math.pi))
+        state = self.state(0)
+        r, theta = 0.8, 1.1
+        real = (wf.radial_R(state.radial, r) * wf.angular_H(state.angular, theta)
+                / math.sqrt(2.0 * math.pi))
+        for phi in (0.0, 1.234, 6.0):
+            assert state.psi(r, theta, phi) == pytest.approx(real, rel=1e-14)
 
     def test_periodicity(self):
+        phis = np.array([0.0, 0.7, 3.1])
         for m in range(4):
-            for phi in (0.0, 0.7, 3.1):
-                a = wf.azimuthal_Phi(m, phi)
-                b = wf.azimuthal_Phi(m, phi + 2.0 * math.pi)
-                assert abs(a - b) <= 1e-15
+            state = self.state(m)
+            for phi in phis:
+                a = state.psi(0.8, 1.1, phi)
+                b = state.psi(0.8, 1.1, phi + 2.0 * math.pi)
+                assert abs(a - b) <= 1e-13 * abs(a)
+            a = state.psi(0.8, 1.1, phis)
+            b = state.psi(0.8, 1.1, phis + 2.0 * math.pi)
+            assert np.all(np.abs(a - b) <= 1e-13 * np.abs(a))
 
     def test_unit_measure(self):
         # |Phi|^2 is constant 1/(2 pi); its integral over a period is one
-        dens = abs(wf.azimuthal_Phi(3, 0.42)) ** 2
-        assert dens * 2.0 * math.pi == pytest.approx(1.0, rel=1e-15)
+        state = self.state(3)
+        r, theta = 0.8, 1.1
+        real = wf.radial_R(state.radial, r) * wf.angular_H(state.angular, theta)
+        for phi in (0.0, 0.42, 5.0):
+            dens = abs(state.psi(r, theta, phi)) ** 2
+            assert dens * 2.0 * math.pi == pytest.approx(real * real, rel=1e-13)
 
     def test_sign_flag(self):
-        plus = wf.azimuthal_Phi(2, 0.9, +1)
-        minus = wf.azimuthal_Phi(2, 0.9, -1)
-        assert plus == pytest.approx(minus.conjugate())
-        with pytest.raises(ValueError):
-            wf.azimuthal_Phi(2, 0.9, 0)
+        state = self.state(2)
+        plus = state.psi(0.8, 1.1, 0.9, +1)
+        minus = state.psi(0.8, 1.1, 0.9, -1)
+        assert plus.imag != 0.0
+        assert plus == pytest.approx(minus.conjugate(), rel=1e-15)
+        point = wf.EvalPoint(r=0.8, theta=1.1, phi=0.9)
+        assert wf.total_psi(self.PARAMS, CONSTS, state.quantum, point, -1) == minus
+        for sign in (0, 5, -2):
+            with pytest.raises(ValueError):
+                state.psi(0.8, 1.1, 0.9, sign)
+            with pytest.raises(ValueError):
+                state.psi(0.8, 1.1, np.array([0.9]), sign)
+            with pytest.raises(ValueError):
+                wf.total_psi(self.PARAMS, CONSTS, state.quantum, point, sign)
 
 
 class TestTotalPsi:
@@ -249,7 +279,7 @@ class TestTotalPsi:
             combined = state.psi(r, theta, phi)
             product = (wf.radial_R(state.radial, r)
                        * wf.angular_H(state.angular, theta)
-                       * wf.azimuthal_Phi(q.m, phi))
+                       * cmath.exp(1j * q.m * phi) / math.sqrt(2.0 * math.pi))
             assert abs(combined - product) <= 1e-12 * abs(product)
 
     def test_total_psi_wrapper(self):
