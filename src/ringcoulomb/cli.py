@@ -15,6 +15,7 @@ readers, and an argument that is not a flag of the command is a problem.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -245,17 +246,20 @@ def _json_value(value) -> str:
     raise TypeError("cannot render %r as a JSON table value" % (value,))
 
 
-def _json_row_template(columns) -> str:
-    """``%`` template of one row object at the nesting depth of ``_frame``."""
-    fields = ",\n".join("      %s: %%s" % encode_basestring_ascii(col) for col in columns)
-    return "    {\n" + fields + "\n    }"
+def _row_format(fmt: str, columns) -> tuple:
+    """The cell renderer and ``%`` template of one row: its cells joined by
+    commas, or a JSON row object at the nesting depth of ``_frame``."""
+    if fmt == "json":
+        fields = ",\n".join("      %s: %%s" % encode_basestring_ascii(col) for col in columns)
+        return _json_value, "    {\n" + fields + "\n    }"
+    return _fmt, ",".join(["%s"] * len(columns))
 
 
 def _frame(fmt: str, meta: dict, columns, body: list, key: str = "rows") -> str:
     """Wrap rendered rows in the table's header: CSV, or JSON ``{"meta", key}``.
 
     The JSON layout is that of ``json.dumps({"meta": meta, key: rows}, indent=2)``,
-    whose rows ``_json_row_template`` renders one at a time.
+    whose rows ``_row_format`` renders one at a time.
     """
     if fmt == "json":
         head = ('{\n  "meta": ' + json.dumps(meta, indent=2).replace("\n", "\n  ")
@@ -271,12 +275,8 @@ def _frame(fmt: str, meta: dict, columns, body: list, key: str = "rows") -> str:
 
 def _table(fmt: str, meta: dict, columns, rows, key: str = "rows") -> str:
     """Render tuple rows, one value per column, as CSV or JSON."""
-    if fmt == "json":
-        template = _json_row_template(columns)
-        body = [template % tuple(map(_json_value, row)) for row in rows]
-    else:
-        body = [",".join(map(_fmt, row)) for row in rows]
-    return _frame(fmt, meta, columns, body, key)
+    cell, template = _row_format(fmt, columns)
+    return _frame(fmt, meta, columns, [template % tuple(map(cell, row)) for row in rows], key)
 
 
 # ---------------------------------------------------------------------------
@@ -294,31 +294,27 @@ def _cmd_spectrum(cfg: dict, problems: list) -> int:
     if problems:
         raise ConfigError(problems)
 
-    if fmt == "json":
-        cell, template = _json_value, _json_row_template(_SPECTRUM_COLUMNS)
-    else:
-        cell, template = _fmt, ",".join(["%s"] * len(_SPECTRUM_COLUMNS))
+    cell, template = _row_format(fmt, _SPECTRUM_COLUMNS)
     # the indices of a state other than N and N' depend on (n, m) alone, so a
-    # block of states sharing (n, m) renders them once, into its own template
-    # (a rendered cell is a number, never holding a '%')
+    # block of states sharing (n, m) computes them once and renders them once,
+    # into its own template (a rendered cell is a number, never holding a '%');
+    # an empty N range has no state to compute them for
     ok = cell("ok")
     rows = []
-    for n, m in itertools.product(ns, ms):
-        block_template = None
+    for n, m in itertools.product(ns, ms) if Ns else ():
+        try:
+            eff = spectrum.effective_indices(params, consts,
+                                             spectrum.QuantumNumbers(N=Ns[0], n=n, m=m))
+        except spectrum.FallToCenter:
+            rows.extend((True, 0.0, N, n, m,
+                         template % tuple(map(cell, (N, n, m, None, None, None, None,
+                                                     None, None, "fall-to-center"))))
+                        for N in Ns)
+            continue
+        block_template = template % (
+            "%s", *map(cell, (n, m, eff.m_prime, eff.ell_prime, eff.L)), "%s", "%s", "%s", ok)
         for N in Ns:
-            q = spectrum.QuantumNumbers(N=N, n=n, m=m)
-            try:
-                entry = spectrum.energy(params, consts, q)
-            except spectrum.FallToCenter:
-                text = template % tuple(map(cell, (N, n, m, None, None, None, None,
-                                                   None, None, "fall-to-center")))
-                rows.append((True, 0.0, N, n, m, text))
-                continue
-            eff = entry.eff
-            if block_template is None:
-                block_template = template % (
-                    "%s", *map(cell, (n, m, eff.m_prime, eff.ell_prime, eff.L)),
-                    "%s", "%s", "%s", ok)
+            entry = spectrum.energy(params, consts, spectrum.QuantumNumbers(N=N, n=n, m=m), eff)
             text = block_template % (cell(N), cell(entry.N_prime), cell(entry.epsilon),
                                      cell(entry.E))
             rows.append((False, entry.E, N, n, m, text))
@@ -395,7 +391,7 @@ def _cmd_wavefunction(cfg: dict, problems: list) -> int:
     # each r and theta cell is rendered once with the text around it, so only
     # the density is rendered per sample (about 3x the samples/s of _table)
     columns = ["r", "theta", "density"]
-    template = _json_row_template(columns) if fmt == "json" else "%s,%s,%s"
+    _, template = _row_format(fmt, columns)
     head, mid, tail, end = template.split("%s")
     r_cells = [head + repr(r) + mid for r in r_grid.tolist()]
     theta_cells = [repr(theta) + tail for theta in theta_grid.tolist()]
@@ -567,8 +563,11 @@ _COMMANDS = {
 _KNOWN_KEYS = frozenset(key for _, _, keys in _COMMANDS.values() for key in keys)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """Flags of every command as plain text; no flag may be abbreviated."""
+    """Flags of every command as plain text; no flag may be abbreviated.
+
+    Built once per process: parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="ringcoulomb", allow_abbrev=False, exit_on_error=False,
         description="Bound states of the pseudo-Coulomb plus ring-shaped "

@@ -268,16 +268,14 @@ POLAR_PAD = 0.1
 RESIDUAL_STEP = 5e-4
 
 
-def _fd_second(f, x, h):
-    # fourth-order five-point stencil; keeps the truncation term negligible
-    # even where the coefficients grow like 1/r^2 on the test grid
-    return (-f(x + 2 * h) + 16.0 * f(x + h) - 30.0 * f(x)
-            + 16.0 * f(x - h) - f(x - 2 * h)) / (12.0 * h * h)
-
-
-def _fd_first(f, x, h):
-    return (f(x - 2 * h) - 8.0 * f(x - h) + 8.0 * f(x + h)
-            - f(x + 2 * h)) / (12.0 * h)
+def _fd_derivatives(f, x, h):
+    """f(x), f'(x) and f''(x) from f evaluated once at each of x - 2h ... x + 2h."""
+    fm2, fm1, f0, fp1, fp2 = f(x - 2 * h), f(x - h), f(x), f(x + h), f(x + 2 * h)
+    # fourth-order five-point stencils; they keep the truncation term
+    # negligible even where the coefficients grow like 1/r^2 on the test grid
+    first = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
+    second = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
+    return f0, first, second
 
 
 def radial_ode_residual(params, consts, entry, *, energy_offset=0.0):
@@ -296,8 +294,9 @@ def radial_ode_residual(params, consts, entry, *, energy_offset=0.0):
 
     r = np.linspace(*RADIAL_WINDOW, RESIDUAL_POINTS)
     coef = e + eff.alpha / r - eff.gamma / (r * r)
-    resid = _fd_second(g, r, RESIDUAL_STEP) + coef * g(r)
-    scale = np.max(np.abs(g(r))) * max(np.max(np.abs(coef)), 1.0)
+    g0, _, g2 = _fd_derivatives(g, r, RESIDUAL_STEP)
+    resid = g2 + coef * g0
+    scale = np.max(np.abs(g0)) * max(np.max(np.abs(coef)), 1.0)
     return float(np.max(np.abs(resid))), float(scale)
 
 
@@ -316,10 +315,9 @@ def angular_ode_residual(params, consts, entry):
     theta = np.linspace(POLAR_PAD, math.pi - POLAR_PAD, RESIDUAL_POINTS)
     sin2 = np.sin(theta) ** 2
     coef = eff.Lambda - (q.m**2 + kappa * np.cos(theta) ** 2) / sin2
-    resid = (_fd_second(H, theta, RESIDUAL_STEP)
-             + (np.cos(theta) / np.sin(theta)) * _fd_first(H, theta, RESIDUAL_STEP)
-             + coef * H(theta))
-    scale = np.max(np.abs(H(theta))) * max(np.max(np.abs(coef)), 1.0)
+    H0, H1, H2 = _fd_derivatives(H, theta, RESIDUAL_STEP)
+    resid = H2 + (np.cos(theta) / np.sin(theta)) * H1 + coef * H0
+    scale = np.max(np.abs(H0)) * max(np.max(np.abs(coef)), 1.0)
     return float(np.max(np.abs(resid))), float(scale)
 
 

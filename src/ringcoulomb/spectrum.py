@@ -27,7 +27,6 @@ immutable inputs; the spectral eigensolver checks live in ``oracle``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -170,52 +169,33 @@ def radial_params(params: PotentialParams, consts: PhysicalConstants, Lambda: fl
     return alpha, gamma, nu_t, D + 2.0 * ell
 
 
-#: (n, m) parts the memo keeps.  The one caller that repeats an (n, m) is the
-#: spectrum table, which walks N inside each (n, m), so only the latest entry
-#: is reused: its hits are the same at 1 entry as at 64, and single states
-#: (densities, verification) gain nothing from more
-NM_MEMO_SIZE = 1
-
-
-@functools.lru_cache(maxsize=NM_MEMO_SIZE, typed=True)
-def _nm_part(a, b, beta, D, mu, hbar, n, m):
-    """The indices of (n, m) and sqrt(4*gamma + 1): all of a state but N.
-
-    ``typed`` keeps int, float and numpy scalars of equal value apart, since
-    each keeps its own type through the arithmetic.
-    """
-    params = PotentialParams(a=a, b=b, beta=beta, D=D)
-    consts = PhysicalConstants(mu=mu, hbar=hbar)
-    mp = m_prime(m, beta, consts)
-    lp = ell_prime(n, mp, D)
+def effective_indices(params: PotentialParams, consts: PhysicalConstants,
+                      q: QuantumNumbers) -> EffectiveIndices:
+    """The indices of q's (n, m): every index of a state but N."""
+    mu, hbar, D, beta = consts.mu, consts.hbar, params.D, params.beta
+    mp = m_prime(q.m, beta, consts)
+    lp = ell_prime(q.n, mp, D)
     Lambda = separation_constant(lp, D, beta, consts)
+    # exactly, Lambda = (n+m')(n+m'+1) - 2 mu beta/hbar^2 >= m' >= 0; within 8
+    # ulps of l'(l'+D-2) the subtraction keeps no correct digit.  The bound is
+    # strict so the exact Lambda = 0 of beta = n = m = 0 passes, and a nan
+    # Lambda compares false and reaches the checks below
+    if abs(Lambda) < 8.0 * 2.0**-52 * lp * (lp + D - 2.0):
+        raise OutOfRange("Lambda = %r: 2*mu*beta/hbar^2 cancels every digit of "
+                         "l'(l'+D-2) = %r" % (Lambda, lp * (lp + D - 2.0)))
     alpha, gamma, nu_t, _ = radial_params(params, consts, Lambda)
     # radial power index; its radicand equals 4*gamma + 1 but is grouped
     # through l' and (b - beta), which is the independent arithmetic path
     # used by the Coulombic energy form
-    rad = (D - 2) ** 2 + 4.0 * lp * (lp + D - 2.0) + 8.0 * mu * (b - beta) / hbar**2
+    rad = (D - 2) ** 2 + 4.0 * lp * (lp + D - 2.0) + 8.0 * mu * (params.b - beta) / hbar**2
     if rad < 0.0:
         raise FallToCenter("radial power radicand %r < 0" % rad)
-    if (a and not 0.0 < alpha < math.inf) or not math.isfinite(rad):
+    if (params.a and not 0.0 < alpha < math.inf) or not math.isfinite(rad):
         raise OutOfRange("alpha = %r, 4*gamma + 1 = %r: outside the float range"
                          % (alpha, rad))
     L = 0.5 * (math.sqrt(rad) - 1.0)
-    eff = EffectiveIndices(m_prime=mp, ell_prime=lp, Lambda=Lambda, nu_tilde=nu_t,
-                           gamma=gamma, alpha=alpha, L=L)
-    return eff, math.sqrt(4.0 * gamma + 1.0)
-
-
-def _nm_lookup(params: PotentialParams, consts: PhysicalConstants, q: QuantumNumbers):
-    args = (params.a, params.b, params.beta, params.D, consts.mu, consts.hbar, q.n, q.m)
-    # a = -0.0 keys like 0.0 but flips the sign of alpha; no other argument's
-    # signed zero reaches a result, so only a = 0 bypasses the memo
-    return _nm_part(*args) if params.a else _nm_part.__wrapped__(*args)
-
-
-def effective_indices(params: PotentialParams, consts: PhysicalConstants,
-                      q: QuantumNumbers) -> EffectiveIndices:
-    """The indices of q's (n, m), computed once per (n, m) while it stays memoized."""
-    return _nm_lookup(params, consts, q)[0]
+    return EffectiveIndices(m_prime=mp, ell_prime=lp, Lambda=Lambda, nu_tilde=nu_t,
+                            gamma=gamma, alpha=alpha, L=L)
 
 
 def principal_number(N: int, eff: EffectiveIndices) -> float:
@@ -224,16 +204,19 @@ def principal_number(N: int, eff: EffectiveIndices) -> float:
 
 
 def energy(params: PotentialParams, consts: PhysicalConstants,
-           q: QuantumNumbers) -> SpectrumEntry:
+           q: QuantumNumbers, eff: EffectiveIndices | None = None) -> SpectrumEntry:
     """Bound-state energy E = c - (2 mu a^2/hbar^2) / (2N+1+sqrt(4 gamma+1))^2.
 
     The decay rate epsilon = alpha / (2N+1+sqrt(4 gamma+1)) is computed first
-    and E = c - hbar^2 eps^2 / (2 mu) follows exactly from it.
+    and E = c - hbar^2 eps^2 / (2 mu) follows exactly from it.  ``eff``, when
+    given, is ``effective_indices(params, consts, q)``, which a caller walking
+    N at fixed (n, m) computes once.
     """
     if params.a == 0:
         raise NoBoundState("a = 0: the potential has no Coulomb well")
-    eff, root = _nm_lookup(params, consts, q)
-    den = 2 * q.N + 1 + root
+    if eff is None:
+        eff = effective_indices(params, consts, q)
+    den = 2 * q.N + 1 + math.sqrt(4.0 * eff.gamma + 1.0)
     eps = eff.alpha / den
     E = params.c - consts.hbar**2 * eps * eps / (2.0 * consts.mu)
     if not math.isfinite(E):

@@ -90,20 +90,44 @@ class TestSpectrum:
 
     def test_fall_to_center_rows_are_flagged(self, tmp_path, monkeypatch, capsys):
         # physical inputs cannot reach 4*gamma+1 < 0, so force the branch
-        real_energy = spectrum.energy
+        real_indices = spectrum.effective_indices
 
-        def fake_energy(params, consts, q):
-            if q.N == 1:
+        def fake_indices(params, consts, q):
+            if q.n == 1:
                 raise spectrum.FallToCenter("forced")
-            return real_energy(params, consts, q)
+            return real_indices(params, consts, q)
 
-        monkeypatch.setattr(cli.spectrum, "energy", fake_energy)
-        assert run(["spectrum", "--a", "1", "--N", "0..1"]) == 0
+        monkeypatch.setattr(cli.spectrum, "effective_indices", fake_indices)
+        assert run(["spectrum", "--a", "1", "--n", "0..1"]) == 0
         _, rows = load_table(capsys.readouterr().out)
         flagged = [r for r in rows if r["status"] == "fall-to-center"]
         assert len(flagged) == 1
         assert flagged[0]["E"] == "" and flagged[0]["epsilon"] == ""
         assert rows[-1]["status"] == "fall-to-center"  # sorted to the end
+
+    @pytest.mark.parametrize("ranges, blocks, states", [
+        (["--N", "0..2", "--n", "0..1", "--m", "0..2"], 6, 18),
+        (["--N", "3..3", "--n", "2..4", "--m", "1..1"], 3, 3),
+        (["--N", "1..0", "--n", "0..1", "--m", "0..2"], 0, 0),
+    ])
+    def test_indices_once_per_block_energy_once_per_state(self, ranges, blocks, states,
+                                                           monkeypatch, capsys):
+        calls = {"effective_indices": 0, "energy": 0}
+
+        def counted(name):
+            real = getattr(spectrum, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli.spectrum, name, counted(name))
+        assert run(["spectrum", "--a", "1.1", "--beta", "0.3", *ranges]) == 0
+        _, rows = load_table(capsys.readouterr().out)
+        assert calls == {"effective_indices": blocks, "energy": states}
+        assert len(rows) == states
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -362,6 +386,10 @@ class TestBadInput:
          "outside the float range"),
         (["spectrum", "--a", "1e200", "--N", "0..0", "--n", "0..0", "--m", "0..0"],
          "E = -inf"),
+        # Lambda = l'(l'+D-2) - 2 mu beta/hbar^2 keeps no correct digit; these
+        # printed E = -0.5 marked ok and a fall-to-center row
+        (["spectrum", "--beta", "1e33"], "cancels every digit"),
+        (["spectrum", "--beta", "1e32"], "cancels every digit"),
     ])
     def test_extreme_parameters_fail_with_a_message(self, argv, message, capsys):
         # valid inputs whose computation leaves the float range end in a

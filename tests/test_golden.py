@@ -24,7 +24,7 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
 
 _SPECTRUM = ["spectrum", "--a", "1.5", "--b", "0.3", "--beta", "1.1", "--D", "4",
              "--N", "0..2", "--n", "0..2", "--m", "0..2"]
-# 81 (n, m) pairs, more than spectrum.NM_MEMO_SIZE holds, so the memo evicts
+# 81 (n, m) blocks of 2 N each: the table computes each block's indices once
 _SPECTRUM_MANY_NM = ["spectrum", "--a", "0.9", "--b", "0.4", "--c", "-0.25", "--beta",
                      "0.7", "--D", "5", "--N", "0..1", "--n", "0..8", "--m", "0..8"]
 # beta = 0, m = 0: the printed angular constant normalizes the state

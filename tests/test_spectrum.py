@@ -231,49 +231,27 @@ def _leaf_types(value):
     return type(value)
 
 
-class TestNmMemo:
-    """A memo hit returns what a miss computes: equal values, the same types."""
+class TestGivenIndices:
+    """energy(..., eff) with the indices of q's (n, m) equals energy(...) without them."""
 
     PARAMS = PotentialParams(a=1.3, b=0.4, c=-0.2, beta=0.7, D=5)
 
-    def _cold(self, params, consts, q):
-        spectrum._nm_part.cache_clear()
-        return spectrum.energy(params, consts, q)
-
-    def test_cold_and_warm_calls_agree(self):
-        q = QuantumNumbers(2, 3, 1)
-        cold = self._cold(self.PARAMS, CONSTS, q)
-        warm = spectrum.energy(self.PARAMS, CONSTS, q)
-        assert spectrum._nm_part.cache_info().hits >= 1
-        assert warm == cold and _leaf_types(warm) == _leaf_types(cold)
-
-    def test_grid_order_does_not_matter(self):
-        # more (n, m) pairs than the memo holds, so both orders evict
-        Ns, nms = range(3), list(itertools.product(range(10), range(10)))
-        assert len(nms) > spectrum.NM_MEMO_SIZE
-        spectrum._nm_part.cache_clear()
-        by_N = {(N, n, m): spectrum.energy(self.PARAMS, CONSTS, QuantumNumbers(N, n, m))
-                for N in Ns for n, m in nms}
-        spectrum._nm_part.cache_clear()
-        by_nm = {(N, n, m): spectrum.energy(self.PARAMS, CONSTS, QuantumNumbers(N, n, m))
-                 for n, m in nms for N in Ns}
-        assert spectrum._nm_part.cache_info().currsize == spectrum.NM_MEMO_SIZE
-        assert by_N == by_nm
-        assert all(_leaf_types(by_N[key]) == _leaf_types(by_nm[key]) for key in by_N)
-
-    @pytest.mark.parametrize("cast", [np.float64, int], ids=["float64", "int"])
-    def test_other_scalar_types_get_their_own_entries(self, cast):
-        q = QuantumNumbers(1, 2, 2)
-        fields = dict(a=2.0, b=1.0, c=0.0, beta=3.0, D=4)
-        as_float = PotentialParams(**fields)
-        as_cast = PotentialParams(**{k: v if k == "D" else cast(v) for k, v in fields.items()})
-        consts_cast = PhysicalConstants(mu=cast(1.0), hbar=cast(1.0))
-        expected = self._cold(as_cast, consts_cast, q)
-        float_entry = self._cold(as_float, CONSTS, q)
-        got = spectrum.energy(as_cast, consts_cast, q)   # the float entry is warm
-        assert got == float_entry == expected
-        assert _leaf_types(got) == _leaf_types(expected)
-        assert got.eff is not float_entry.eff
+    @pytest.mark.parametrize("cast", [float, np.float64, int])
+    @pytest.mark.parametrize("D", [2, 5])
+    def test_given_indices_equal_computed_ones(self, cast, D):
+        # integral values, so int params keep them; each scalar type keeps its
+        # own type through the arithmetic, and both calls must keep the same
+        params = PotentialParams(a=cast(2.0), b=cast(1.0), c=cast(0.0), beta=cast(3.0), D=D)
+        consts = PhysicalConstants(mu=cast(1.0), hbar=cast(1.0))
+        for n, m in itertools.product(range(4), range(3)):
+            # one N's indices serve every N of the block, as in the CLI table
+            eff = spectrum.effective_indices(params, consts, QuantumNumbers(0, n, m))
+            for N in range(3):
+                q = QuantumNumbers(N, n, m)
+                given = spectrum.energy(params, consts, q, eff)
+                computed = spectrum.energy(params, consts, q)
+                assert given == computed
+                assert _leaf_types(given) == _leaf_types(computed)
 
     def test_signed_zero_coulomb_strength_keeps_its_sign(self):
         q = QuantumNumbers(0, 1, 1)
