@@ -417,6 +417,10 @@ def _cmd_verify(cfg: dict, problems: list) -> int:
         energy_rel=_number(cfg, "tol_energy", 1e-4, problems),
         lambda_abs=_number(cfg, "tol_lambda", 1e-4, problems),
         residual_rel=_number(cfg, "tol_residual", 1e-6, problems))
+    for key, value in (("tol_energy", tol.energy_rel), ("tol_lambda", tol.lambda_abs),
+                       ("tol_residual", tol.residual_rel)):
+        if value <= 0:
+            problems.append((key, "must be positive, got %r" % value))
     n_points = _integer(cfg, "points", 1500, problems)
     levels = _integer(cfg, "levels", 3, problems)
     offset = _number(cfg, "perturb_energy", 0.0, problems)
@@ -561,6 +565,7 @@ _COMMANDS = {
                ("beta", "mu", "hbar") + _OUTPUT + ("case", "negative_control")),
 }
 _KNOWN_KEYS = frozenset(key for _, _, keys in _COMMANDS.values() for key in keys)
+_VALUE_FLAGS = _KNOWN_KEYS | {"config"}
 
 
 @functools.cache
@@ -581,10 +586,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse(argv) -> tuple:
     """The parsed flags and the problems of every argument argparse could not place."""
+    # argparse takes only -1 and -.5 shapes as values; "--c -1e-3" means --c=-1e-3
+    joined = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        flag = joined[-1] if joined else ""
+        if (flag.startswith("--") and flag[2:].replace("-", "_") in _VALUE_FLAGS
+                and arg.startswith("-") and _is_number(arg)):
+            joined[-1] = flag + "=" + arg
+        else:
+            joined.append(arg)
     try:
-        args, extras = _build_parser().parse_known_args(argv)
+        args, extras = _build_parser().parse_known_args(joined)
     except argparse.ArgumentError as exc:   # a flag without its value, an unknown command
         flag = (exc.argument_name or "command").split("/")[-1]    # "-h/--help": help
         field_name = flag.lstrip("-").replace("-", "_")

@@ -44,12 +44,22 @@ recurrences run in y = x - (2s - 1), which keeps the nodes resolved at large
 s.  A solve takes the leading blocks of ``refinement_levels`` basis sizes
 K, K + 10, ... (:class:`GridSpec`); it reports the largest's values and
 their change from the one before as the error estimate.
+
+:func:`verify_states` runs the recurrence of many solves in one pass over
+their nodes (consecutive states' solves, up to PASS_BYTES of rows or the
+largest solve's), as numpy's per-call cost dominates a recurrence of a few
+dozen rows.  Each node steps with its own rule's coefficients, from the
+expressions of a lone solve, and each solve keeps its own rows, normalized at
+its own last row.  Elementwise operations, and numpy's log and exp on
+contiguous arrays, do not depend on an element's neighbours, so a pass
+changes no bit of any solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,34 +128,93 @@ class GridEigenResult:
     levels: list = field(default_factory=list)  # values at each basis size
 
 
-def _scaled_rows(y, diag, off, start):
-    """Orthonormal polynomials and their derivatives at Gauss nodes y, times
-    sqrt of each node's Christoffel weight; shape (families, 2, rows, nodes).
+class _Rule(NamedTuple):
+    """The Gauss rule and basis of one solve: ``param`` is the radial a = 2s - 2
+    or the polar p, and the rule has size + 2 nodes for ``size`` basis functions."""
 
-    Row f of ``diag`` and ``off`` is the recurrence y P_k = off[k+1] P_{k+1}
-    + diag[k] P_k + off[k] P_{k-1} of one family, from P_0 = start[f].  Family
-    0 owns the nodes, one per row, and starts at 1; the others start at their
-    P_0 over its P_0.
+    radial: bool
+    param: float
+    size: int
+
+
+def _coefficients(rule: _Rule, n_rows: int):
+    """Rows 0 .. n_rows - 1 of the recurrence y P_k = off[k+1] P_{k+1} + diag[k] P_k
+    + off[k] P_{k-1} of the rule's weight (row 0) and of the basis weight (row 1),
+    and the basis's P_0 over the rule's."""
+    j = np.arange(n_rows, dtype=float)
+    if rule.radial:
+        a = rule.param                  # the Gauss rule's weight x^a e^(-x)
+        # the basis weight is x^(a+2) e^(-x); both recurrences run in y = x - (a + 1)
+        diag = np.stack([2.0 * j, 2.0 * j + 2.0])
+        off = np.sqrt(np.stack([j * (j + a), j * (j + a + 2.0)]))
+        return diag, off, 1.0 / math.sqrt((a + 1.0) * (a + 2.0))
+    p = rule.param                      # both weights are (1 - s^2)^p
+    off = np.zeros(n_rows)
+    off[1] = 1.0 / math.sqrt(2.0 * p + 3.0)   # the general form below is 0/0 at p = -1/2
+    j = j[2:]
+    off[2:] = np.sqrt(j * (j + 2.0 * p) / ((2.0 * j + 2.0 * p + 1.0) * (2.0 * j + 2.0 * p - 1.0)))
+    return np.zeros((2, n_rows)), np.stack([off, off]), 1.0
+
+
+#: bytes of the rows one recurrence pass holds: a pass takes solves, in order,
+#: while its rows fit PASS_BYTES or the largest single solve's rows
+PASS_BYTES = 2**20
+
+
+def _pass_bytes(rules) -> int:
+    """Bytes of the basis values, derivatives and weight growth of one pass,
+    every rule padded to the rows and nodes of the largest."""
+    n_rows = max((rule.size + 2 for rule in rules), default=0)
+    return 24 * len(rules) * n_rows * n_rows
+
+
+def _bases(rules) -> list:
+    """Per rule, its Gauss nodes y and its basis rows p and dp, each (size, nodes):
+    the orthonormal basis polynomials and their derivatives at y, times sqrt of
+    each node's Christoffel weight.
+
+    One recurrence pass runs over the nodes of every rule, rule i's in row i
+    of the node array, so its coefficients broadcast along that row.  Each node
+    steps with its own rule's coefficients, so no node's values depend on the
+    other rules; a rule's rows past its own size + 2, and the columns that pad
+    its nodes to the longest rule's, are computed and dropped.
     """
-    n_fam, n_rows = diag.shape
-    diag, off = diag[:, :, None, None], off[:, :, None, None]
-    out = np.empty((n_rows, n_fam, 2, y.size))
-    cur = np.zeros((n_fam, 2, y.size))
-    cur[:, 0] = np.asarray(start, dtype=float)[:, None]
+    if not rules:
+        return []
+    n_rows = max(rule.size for rule in rules) + 2
+    # rule i owns row i of y: its nodes, then copies of its last node
+    y = np.empty((len(rules), n_rows))
+    diag, off = np.empty((3, len(rules), n_rows)), np.empty((3, len(rules), n_rows))
+    start = np.empty((len(rules), 1))
+    for i, rule in enumerate(rules):
+        d, o, start[i] = _coefficients(rule, n_rows)
+        n = rule.size + 2
+        y[i, :n] = np.linalg.eigvalsh(np.diag(d[0, :n]) + np.diag(o[0, 1:n], -1))
+        y[i, n:] = y[i, n - 1]
+        # the pass carries the rule's P_k, the basis P_k and the basis P_k'
+        diag[:, i], off[:, i] = d[[0, 1, 1]], o[[0, 1, 1]]
+    cur = np.zeros((3,) + y.shape)
+    cur[0], cur[1] = 1.0, start
     prev = np.zeros_like(cur)
-    grow = np.ones((n_rows, y.size))
+    rows = np.empty((n_rows, 2) + y.shape)
+    grow = np.ones((n_rows,) + y.shape)
     for k in range(n_rows - 1):
-        out[k] = cur
-        nxt = (y - diag[:, k]) * cur - off[:, k] * prev
-        nxt[:, 1] += cur[:, 0]
-        nxt /= off[:, k + 1]
-        # every row is carried over sqrt(sum_{i<=k} P_i^2) of family 0, so
-        # no value leaves the float range however small the node's weight
-        grow[k + 1] = np.sqrt(1.0 + nxt[0, 0] ** 2)
+        rows[k] = cur[1:]
+        nxt = (y - diag[:, :, k, None]) * cur - off[:, :, k, None] * prev
+        nxt[2] += cur[1]
+        nxt /= off[:, :, k + 1, None]
+        # every row is carried over sqrt(sum_{i<=k} P_i^2) of the rule's
+        # family, so no value leaves the float range however small the weight
+        np.sqrt(1.0 + nxt[0] ** 2, out=grow[k + 1])
         prev, cur = cur / grow[k + 1], nxt / grow[k + 1]
-    out[-1] = cur
-    log_norm = np.cumsum(np.log(grow), axis=0)
-    return np.moveaxis(out, 0, 2) * np.exp(log_norm - log_norm[-1])
+    rows[-1] = cur[1:]
+    log_norm = np.cumsum(np.log(grow, out=grow), axis=0, out=grow)
+    bases = []
+    for i, rule in enumerate(rules):
+        size, n = rule.size, rule.size + 2
+        scale = np.exp(log_norm[:size, i, :n] - log_norm[size + 1, i, :n])
+        bases.append((y[i, :n], rows[:size, 0, i, :n] * scale, rows[:size, 1, i, :n] * scale))
+    return bases
 
 
 def _levels(matrix, sizes, k_states) -> GridEigenResult:
@@ -161,27 +230,8 @@ def _levels(matrix, sizes, k_states) -> GridEigenResult:
                            est_error=np.abs(levels[-1] - levels[-2]), levels=levels)
 
 
-def _radial_matrix(alpha_h, gamma, s, size):
-    """Galerkin matrix of x^s e^(-x/2) p_k(x), k < size; eigenvalues h^2 e."""
-    a = 2.0 * s - 2.0                  # the Gauss rule's weight x^a e^(-x)
-    j = np.arange(size + 2, dtype=float)
-    # family 0 is the rule, family 1 the basis (weight x^(a+2) e^(-x)), both in y
-    diag = np.stack([2.0 * j, 2.0 * j + 2.0])
-    off = np.sqrt(np.stack([j * (j + a), j * (j + a + 2.0)]))
-    y = np.linalg.eigvalsh(np.diag(diag[0]) + np.diag(off[0, 1:], -1))
-    x = y + (a + 1.0)
-    p, dp = _scaled_rows(y, diag, off, [1.0, 1.0 / math.sqrt((a + 1.0) * (a + 2.0))])[1, :, :size]
-    u = s * p - 0.5 * x * p + x * dp    # x^(1-s) e^(x/2) d/dx of a basis function
-    return u @ u.T + (p * (gamma - alpha_h * x)) @ p.T
-
-
-def radial_eigen(alpha: float, gamma: float, grid: GridSpec,
-                 k_states: int) -> GridEigenResult:
-    """Lowest k_states eigenvalues e_N of the reduced radial operator.
-
-    The closed-form counterpart is e_N = -alpha^2 / (2N+1+sqrt(4 gamma+1))^2;
-    the solver never evaluates it.
-    """
+def _radial_setup(alpha, gamma, grid, k_states):
+    """The indicial exponent s, the scale h, the basis sizes and the rule of a radial solve."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if gamma < 0:
@@ -194,27 +244,29 @@ def radial_eigen(alpha: float, gamma: float, grid: GridSpec,
         raise GridOutOfRange("basis scale h = %r squared %s"
                              % (h, "underflows" if h < 1.0 else "overflows"))
     sizes = grid.radial_sizes(k_states, s)
-    return _levels(_radial_matrix(alpha * h, gamma, s, sizes[-1]) / (h * h), sizes, k_states)
+    return s, h, sizes, _Rule(True, 2.0 * s - 2.0, sizes[-1])
 
 
-def _angular_matrix(p, m2, size):
-    """Galerkin matrix of (1 - s^2)^(p/2) q_k(s), k < size; eigenvalues Lambda."""
-    j = np.arange(2, size + 2, dtype=float)
-    off = np.zeros(size + 2)
-    off[1] = 1.0 / math.sqrt(2.0 * p + 3.0)   # the general form below is 0/0 at p = 1/2
-    off[2:] = np.sqrt(j * (j + 2.0 * p) / ((2.0 * j + 2.0 * p + 1.0) * (2.0 * j + 2.0 * p - 1.0)))
-    y = np.linalg.eigvalsh(np.diag(off[1:], -1))
-    dq = _scaled_rows(y, np.zeros((1, size + 2)), off[None], [1.0])[0, 1, :size]
-    d = dq * np.sqrt((1.0 - y) * (1.0 + y))
-    return d @ d.T + (p + m2) * np.eye(size)
+def radial_eigen(alpha: float, gamma: float, grid: GridSpec,
+                 k_states: int, *, bases: dict | None = None) -> GridEigenResult:
+    """Lowest k_states eigenvalues e_N of the reduced radial operator.
 
-
-def angular_eigen(m: int, beta: float, consts: spectrum.PhysicalConstants,
-                  grid: GridSpec, k_states: int) -> GridEigenResult:
-    """Lowest k_states angular eigenvalues Lambda_n for magnetic index m.
-
-    The closed-form counterpart is (n+m')(n+m'+1) - 2 mu beta / hbar^2.
+    The closed-form counterpart is e_N = -alpha^2 / (2N+1+sqrt(4 gamma+1))^2;
+    the solver never evaluates it.  ``bases`` maps rules to basis rows that
+    :func:`verify_states` computed for many solves in one pass; a rule not
+    in it gets a pass of its own.
     """
+    s, h, sizes, rule = _radial_setup(alpha, gamma, grid, k_states)
+    y, p, dp = bases[rule] if bases and rule in bases else _bases([rule])[0]
+    # Galerkin matrix of x^s e^(-x/2) p_k(x); eigenvalues h^2 e
+    x = y + (rule.param + 1.0)
+    u = s * p - 0.5 * x * p + x * dp    # x^(1-s) e^(x/2) d/dx of a basis function
+    matrix = u @ u.T + (p * (gamma - alpha * h * x)) @ p.T
+    return _levels(matrix / (h * h), sizes, k_states)
+
+
+def _angular_setup(m, beta, consts, grid, k_states):
+    """The basis sizes and the rule of a polar solve."""
     if m < 0 or beta < 0:
         raise ValueError("m and beta must be nonnegative")
     sizes = grid.angular_sizes(k_states)
@@ -222,8 +274,23 @@ def angular_eigen(m: int, beta: float, consts: spectrum.PhysicalConstants,
     if not math.isfinite(kappa):
         raise GridOutOfRange("kappa = 2 mu beta / hbar^2 = %r is outside the float range"
                              % kappa)
-    p = math.sqrt(m * m + kappa)
-    return _levels(_angular_matrix(p, float(m * m), sizes[-1]), sizes, k_states)
+    return sizes, _Rule(False, math.sqrt(m * m + kappa), sizes[-1])
+
+
+def angular_eigen(m: int, beta: float, consts: spectrum.PhysicalConstants,
+                  grid: GridSpec, k_states: int, *,
+                  bases: dict | None = None) -> GridEigenResult:
+    """Lowest k_states angular eigenvalues Lambda_n for magnetic index m.
+
+    The closed-form counterpart is (n+m')(n+m'+1) - 2 mu beta / hbar^2.
+    ``bases`` is as for :func:`radial_eigen`.
+    """
+    sizes, rule = _angular_setup(m, beta, consts, grid, k_states)
+    y, _, dq = bases[rule] if bases and rule in bases else _bases([rule])[0]
+    # Galerkin matrix of (1 - s^2)^(p/2) q_k(s); eigenvalues Lambda
+    d = dq * np.sqrt((1.0 - y) * (1.0 + y))
+    matrix = d @ d.T + (rule.param + float(m * m)) * np.eye(rule.size)
+    return _levels(matrix, sizes, k_states)
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +401,48 @@ def verify_states(params: spectrum.PotentialParams, consts: spectrum.PhysicalCon
 
     The polar equation does not involve N, so states sharing (n, m) share
     their two angular checks; the radial checks run per state.  ``grid`` sets
-    the basis sizes of every solve.
+    the basis sizes of every solve.  Consecutive states take the basis rows of
+    their solves from one recurrence pass, which changes no digit.
     """
-    angular_checks = {}
-    return [verify_state(params, consts, q, tolerances, grid=grid,
-                         energy_offset=energy_offset, angular_checks=angular_checks)
-            for q in states]
+    # each state's solves: the polar one if its (n, m) is new, and the radial one
+    needs, indices = [], {}
+    try:
+        for q in states:
+            rules = []
+            if (q.n, q.m) not in indices:
+                indices[q.n, q.m] = spectrum.effective_indices(params, consts, q)
+                rules.append(_angular_setup(q.m, params.beta, consts, grid, q.n + 1)[1])
+            eff = indices[q.n, q.m]
+            rules.append(_radial_setup(eff.alpha, eff.gamma, grid, q.N + 1)[3])
+            needs.append(rules)
+    except (spectrum.SpectrumError, OracleError, ArithmeticError, ValueError):
+        pass    # that state raises again from verify_state, after the states before it
+    needs += [[]] * (len(states) - len(needs))
+    budget = max([PASS_BYTES] + [_pass_bytes([r]) for rules in needs for r in rules])
+    angular_checks, reports, start = {}, [], 0
+    while start < len(states):
+        rules, stop = needs[start], start + 1
+        while stop < len(states):
+            wider = rules + needs[stop]
+            if _pass_bytes(wider) > budget:
+                break
+            rules, stop = wider, stop + 1
+        rules = list(dict.fromkeys(rules))
+        bases = dict(zip(rules, _bases(rules)))
+        reports += [verify_state(params, consts, q, tolerances, grid=grid,
+                                 energy_offset=energy_offset, angular_checks=angular_checks,
+                                 bases=bases)
+                    for q in states[start:stop]]
+        start = stop
+    return reports
 
 
 def verify_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalConstants,
                  q: spectrum.QuantumNumbers,
                  tolerances: VerifyTolerances | None = None, *,
                  grid: GridSpec = GridSpec(), energy_offset: float = 0.0,
-                 angular_checks: dict | None = None) -> VerificationReport:
+                 angular_checks: dict | None = None,
+                 bases: dict | None = None) -> VerificationReport:
     """Cross-check one closed-form state against the spectral solvers.
 
     Runs the angular solver to confirm Lambda, the radial solver (fed the
@@ -355,13 +451,14 @@ def verify_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalCons
     closed-form energy before comparison and exists for negative controls.
     ``angular_checks`` maps (n, m) to the angular checks of states verified
     with the same arguments apart from N; missing entries are added to it.
+    ``bases`` is as for :func:`radial_eigen`.
     """
     tol = tolerances or VerifyTolerances()
     entry = spectrum.energy(params, consts, q)
     eff = entry.eff
     angular_checks = {} if angular_checks is None else angular_checks
     if (q.n, q.m) not in angular_checks:
-        ang = angular_eigen(q.m, params.beta, consts, grid, q.n + 1)
+        ang = angular_eigen(q.m, params.beta, consts, grid, q.n + 1, bases=bases)
         lam_num = float(ang.eigenvalues[q.n])
         resid_a, scale_a = angular_ode_residual(params, consts, entry)
         angular_checks[q.n, q.m] = (
@@ -371,7 +468,7 @@ def verify_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalCons
                    tol.residual_rel * scale_a))
     lam_check, resid_a_check = angular_checks[q.n, q.m]
 
-    rad = radial_eigen(eff.alpha, eff.gamma, grid, q.N + 1)
+    rad = radial_eigen(eff.alpha, eff.gamma, grid, q.N + 1, bases=bases)
     e_num = float(rad.eigenvalues[q.N])
     E_num = params.c + consts.hbar**2 * e_num / (2.0 * consts.mu)
     E_target = entry.E + energy_offset

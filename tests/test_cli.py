@@ -430,6 +430,40 @@ class TestBadInput:
                           if line.startswith("error: %s: " % field)])
         assert len(lines[0]) == 1 and lines.count(lines[0]) == len(lines), lines
 
+    @pytest.mark.parametrize("key, value, line", [
+        ("tol_energy", -1, "tol_energy: must be positive, got -1.0"),
+        ("tol_lambda", 0, "tol_lambda: must be positive, got 0.0"),
+        ("tol_residual", "-0.0", "tol_residual: must be positive, got -0.0"),
+    ])
+    def test_tolerances_must_be_positive(self, key, value, line, tmp_path, capsys):
+        # a negative tolerance failed every check; a zero one passed exact values
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        for argv in (["--%s=%s" % (key.replace("_", "-"), value)], ["--config", str(cfg)]):
+            assert run(["verify", "--a", "1", *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == "error: %s\n" % line
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--a", "1", "--c", "-1e-3"],
+        ["spectrum", "--a", "1", "--c", "-1E3", "--format", "json"],
+        ["verify", "--perturb-energy", "-1e-3"],
+        ["spectrum", "--c", "-inf"],
+        ["wavefunction", "--r-max", "-2e0", "--nr", "3", "--ntheta", "3"],
+    ])
+    def test_negative_value_in_its_own_token(self, argv, capsys):
+        # argparse reads only -1 and -.5 shapes as values; any other number
+        # that float() accepts is still the value of the flag before it
+        code = run(argv)
+        spaced = capsys.readouterr()
+        joined = argv[:-2] + ["%s=%s" % tuple(argv[-2:])]
+        assert (run(joined), capsys.readouterr()) == (code, spaced)
+        assert "expected one argument" not in spaced.err
+
+    def test_flag_before_a_flag_still_lacks_its_value(self, capsys):
+        assert run(["spectrum", "--a", "--b", "1"]) == 2
+        assert capsys.readouterr().err == "error: a: expected one argument\n"
+
     def test_unwritable_out_path(self, tmp_path, capsys):
         assert run(["spectrum", "--out", str(tmp_path / "missing" / "spec.csv")]) == 2
         captured = capsys.readouterr()
@@ -490,7 +524,7 @@ _CONFIG_KEYS = sorted({key.replace("-", "_") for keys in _FLAGS.values() for key
                       | {"typo"})
 # huge, tiny and negative numbers that parse, and text that does not
 _NUMBERS = ["0", "-0.0", "0.5", "1", "2.5", "-3", "1e-300", "1e300", "1e308", "-1e308",
-            "5e-324", "99999999999999999999"]
+            "-2E-3", "5e-324", "99999999999999999999"]
 _JUNK = ["nan", "-nan", "inf", "-inf", "1e400", "", " ", "x", "1e", "0x10", str(2**63),
          "..", "1..", "..2", "a..b", "1..2..3"]
 _CHOICES = {"format": ["csv", "json"], "case": ["cheng-dai", "kratzer", "ddim", "coulomb-ring"],
@@ -534,7 +568,8 @@ def _invocations(draw):
 
 
 def _check_exit_contract(argv):
-    """Exit 0, 1 or 2, never a traceback, and exit 2 names the offending field."""
+    """Exit 0, 1 or 2, never a traceback, and exit 2 names the offending field;
+    returns the exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
@@ -544,19 +579,35 @@ def _check_exit_contract(argv):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert lines and all(_FIELD_LINE.match(line) for line in lines), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reads_as_a_flag(value):
+    try:
+        float(value)
+    except ValueError:
+        return value.startswith("-")
+    return False
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=120)
 @given(_invocations())
 def test_any_configuration_exits_cleanly(tmp_path_factory, invocation):
-    """Flags and config values of every kind, valid or not."""
+    """Flags and config values of every kind, valid or not, as --flag=value
+    and as --flag value, which mean the same unless the value starts with "-"
+    and is not a number: argparse reads that as a flag."""
     command, flags, config = invocation
-    argv = [command] + ["--%s=%s" % item for item in flags.items()]
+    tail = []
     if config is not None:
         path = tmp_path_factory.mktemp("fuzz") / "run.json"
         path.write_text(config if isinstance(config, str) else json.dumps(config))
-        argv.append("--config=%s" % path)
-    _check_exit_contract(argv)
+        tail = ["--config=%s" % path]
+    joined = _check_exit_contract([command] + ["--%s=%s" % item for item in flags.items()]
+                                  + tail)
+    spaced = _check_exit_contract([command] + [text for key, value in flags.items()
+                                               for text in ("--" + key, value)] + tail)
+    if not any(map(_reads_as_a_flag, flags.values())):
+        assert spaced == joined
 
 
 _SMALL_RUNS = {"spectrum": [], "wavefunction": ["--nr", "5", "--ntheta", "5"],

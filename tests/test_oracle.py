@@ -118,6 +118,107 @@ class TestAccuracyGrid:
         assert np.isfinite(ang.eigenvalues).all()
 
 
+def _reference_basis(rule):
+    """One rule's nodes and basis rows by a recurrence over its own nodes alone,
+    families stacked; the batched pass must reproduce it bit for bit."""
+    n = rule.size + 2
+    j = np.arange(n, dtype=float)
+    if rule.radial:
+        a = rule.param
+        diag = np.stack([2.0 * j, 2.0 * j + 2.0])
+        off = np.sqrt(np.stack([j * (j + a), j * (j + a + 2.0)]))
+        start, family = [1.0, 1.0 / math.sqrt((a + 1.0) * (a + 2.0))], 1
+    else:
+        p = rule.param
+        off = np.zeros((1, n))
+        off[0, 1] = 1.0 / math.sqrt(2.0 * p + 3.0)
+        off[0, 2:] = np.sqrt(j[2:] * (j[2:] + 2.0 * p)
+                             / ((2.0 * j[2:] + 2.0 * p + 1.0) * (2.0 * j[2:] + 2.0 * p - 1.0)))
+        diag, start, family = np.zeros((1, n)), [1.0], 0
+    y = np.linalg.eigvalsh(np.diag(diag[0]) + np.diag(off[0, 1:], -1))
+    diag, off = diag[:, :, None, None], off[:, :, None, None]
+    out = np.empty((n, len(start), 2, y.size))
+    cur = np.zeros((len(start), 2, y.size))
+    cur[:, 0] = np.asarray(start)[:, None]
+    prev = np.zeros_like(cur)
+    grow = np.ones((n, y.size))
+    for k in range(n - 1):
+        out[k] = cur
+        nxt = (y - diag[:, k]) * cur - off[:, k] * prev
+        nxt[:, 1] += cur[:, 0]
+        nxt /= off[:, k + 1]
+        grow[k + 1] = np.sqrt(1.0 + nxt[0, 0] ** 2)
+        prev, cur = cur / grow[k + 1], nxt / grow[k + 1]
+    out[-1] = cur
+    log_norm = np.cumsum(np.log(grow), axis=0)
+    rows = (np.moveaxis(out, 0, 2) * np.exp(log_norm - log_norm[-1]))[family, :, :rule.size]
+    return y, rows[0], rows[1]
+
+
+class TestBatchedBases:
+    """One recurrence pass over many solves' nodes changes no bit of any solve."""
+
+    # gamma = 1e6 gives s near 1000, so its basis starts int(s/16) = 62 larger
+    RULES = ([oracle._radial_setup(1.3, gamma, GRID, k)[3]
+              for gamma, k in ((0.0, 1), (0.3, 4), (1e6, 2))]
+             # p = 0.5 takes the closed-form off[1]
+             + [oracle._Rule(False, p, size) for p, size in ((0.0, 1), (0.5, 25), (1.3, 3),
+                                                            (37.0, 12))])
+
+    def test_mixed_batch_equals_single_solves(self):
+        assert oracle._radial_setup(1.3, 1e6, GRID, 2)[3].size > 2 * 2 + 8 + 20
+        batched = oracle._bases(self.RULES)
+        for rule, basis in zip(self.RULES, batched):
+            for one in (oracle._bases([rule])[0], _reference_basis(rule)):
+                assert all(np.array_equal(got, want) for got, want in zip(basis, one)), rule
+
+    def test_rows_past_a_shorter_solve_raise_no_warning(self):
+        # the small solves run 1200 rows past their own sizes
+        rules = self.RULES + [oracle._Rule(True, 0.0, 1200)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batched = oracle._bases(rules)
+        for rule, basis in zip(rules, batched):
+            assert all(np.array_equal(got, want)
+                       for got, want in zip(basis, oracle._bases([rule])[0])), rule
+
+    # at beta = 0, gamma depends on n + m alone, so (n, m) = (0, 1) and (1, 0)
+    # share each radial solve: 36 radial and 4 polar solves for 48 states
+    @pytest.mark.parametrize("beta, solves", [(1.5, 52), (0.0, 40)])
+    def test_reports_from_several_passes_equal_per_state_reports(self, monkeypatch, beta,
+                                                                  solves):
+        params = spectrum.PotentialParams(a=1.2, b=0.3, beta=beta, D=4)
+        states = [spectrum.QuantumNumbers(N, n, m)
+                  for N, n, m in itertools.product(range(12), range(2), range(2))]
+        passes, bases = [], oracle._bases
+
+        def counted(rules):
+            passes.append(len(rules))
+            return bases(rules)
+
+        monkeypatch.setattr(oracle, "_bases", counted)
+        reports = oracle.verify_states(params, CONSTS, states)
+        # each solve's rows come from a shared pass, never from a pass of its own
+        assert len(passes) > 1 and min(passes) > 1 and sum(passes) == solves
+        assert reports == [oracle.verify_state(params, CONSTS, q) for q in states]
+
+    def test_errors_surface_in_state_order(self, monkeypatch):
+        # the second state has no solve at this grid; when the first state's
+        # solve fails too, its error comes first, as from a loop of verify_state
+        grid = GridSpec(n_points=64, refinement_levels=2)
+        params = spectrum.PotentialParams(a=1.0)
+        states = [spectrum.QuantumNumbers(0, 0, 0), spectrum.QuantumNumbers(30, 0, 0)]
+        with pytest.raises(BasisSizeError, match="radial index N = 30"):
+            oracle.verify_states(params, CONSTS, states, grid=grid)
+
+        def failing(alpha, gamma, grid, k_states, **kwargs):
+            raise oracle.GridOutOfRange("the first state's solve")
+
+        monkeypatch.setattr(oracle, "radial_eigen", failing)
+        with pytest.raises(oracle.GridOutOfRange, match="the first state's solve"):
+            oracle.verify_states(params, CONSTS, states, grid=grid)
+
+
 class TestGridSpec:
     def test_validation(self):
         for kwargs in ({"n_points": oracle.MIN_POINTS - 1},
@@ -273,13 +374,13 @@ class TestVerifyStates:
         angular, radial = collections.Counter(), collections.Counter()
         angular_eigen, radial_eigen = oracle.angular_eigen, oracle.radial_eigen
 
-        def counted_angular(m, beta, consts, grid, k_states):
+        def counted_angular(m, beta, consts, grid, k_states, **kwargs):
             angular[k_states - 1, m] += 1
-            return angular_eigen(m, beta, consts, grid, k_states)
+            return angular_eigen(m, beta, consts, grid, k_states, **kwargs)
 
-        def counted_radial(alpha, gamma, grid, k_states):
+        def counted_radial(alpha, gamma, grid, k_states, **kwargs):
             radial[alpha, gamma, k_states - 1] += 1
-            return radial_eigen(alpha, gamma, grid, k_states)
+            return radial_eigen(alpha, gamma, grid, k_states, **kwargs)
 
         monkeypatch.setattr(oracle, "angular_eigen", counted_angular)
         monkeypatch.setattr(oracle, "radial_eigen", counted_radial)
