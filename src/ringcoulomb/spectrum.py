@@ -139,12 +139,6 @@ def ell_prime(n: int, mp: float, D: int) -> float:
     return -half + 0.5 * math.sqrt((D - 2) ** 2 + 4.0 * (n + mp) * (n + mp + 1.0))
 
 
-def jacobi_index(lp: float, mp: float, D: int) -> float:
-    """Inverse of :func:`ell_prime`: recovers the polar polynomial degree n."""
-    return -0.5 * (1.0 + 2.0 * mp) + 0.5 * math.sqrt(
-        (2.0 * lp + 1.0) ** 2 + 4.0 * lp * (D - 3))
-
-
 def separation_constant(lp: float, D: int, beta: float, consts: PhysicalConstants) -> float:
     """Angular eigenvalue Lambda = l'(l'+D-2) - 2*mu*beta/hbar^2."""
     return lp * (lp + D - 2.0) - 2.0 * consts.mu * beta / consts.hbar**2
@@ -238,13 +232,6 @@ def energy_coulombic_form(params: PotentialParams, consts: PhysicalConstants,
         raise NoBoundState("a = 0: the potential has no Coulomb well")
     Np = principal_number(q.N, effective_indices(params, consts, q))
     return params.c - consts.mu * params.a**2 / (2.0 * consts.hbar**2 * Np**2)
-
-
-def epsilon_coulombic_form(params: PotentialParams, consts: PhysicalConstants,
-                           q: QuantumNumbers) -> float:
-    """Decay rate in the principal-number form eps = mu a / (hbar^2 N')."""
-    Np = principal_number(q.N, effective_indices(params, consts, q))
-    return consts.mu * params.a / (consts.hbar**2 * Np)
 
 
 # ---------------------------------------------------------------------------

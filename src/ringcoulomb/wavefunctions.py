@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature, spectrum
+from . import spectrum
 from .special import jacobi, laguerre, sin_power
 
 #: relative misnormalization of the textbook angular prefactor above which a
@@ -111,17 +111,6 @@ def radial_R(state: RadialState, r):
             * laguerre(state.N, 2.0 * state.L + 1.0, 2.0 * state.epsilon * r))
 
 
-def radial_norm_integral(state: RadialState, *, tol=1e-10) -> quadrature.QuadResult:
-    """Quadrature of R^2 r^(D-1) over (0, r_max) with the decay-rule cutoff."""
-    r_max = quadrature.decay_cutoff(state.envelope_power, 2.0 * state.epsilon)
-
-    def integrand(r):
-        R = radial_R(state, r)
-        return R * R * np.power(r, state.D - 1)
-
-    return quadrature.integrate(integrand, 0.0, r_max, tol=tol)
-
-
 @dataclass(frozen=True)
 class AngularState:
     n: int
@@ -191,14 +180,6 @@ def angular_H(state: AngularState, theta):
     theta = np.asarray(theta, dtype=float) if np.ndim(theta) else float(theta)
     return (state.norm * sin_power(theta, state.m_prime)
             * jacobi(state.n, state.m_prime, state.m_prime, np.cos(theta)))
-
-
-def angular_norm_integral(state: AngularState, *, tol=1e-10) -> quadrature.QuadResult:
-    def integrand(theta):
-        H = angular_H(state, theta)
-        return H * H * np.sin(theta)
-
-    return quadrature.integrate(integrand, 0.0, math.pi, tol=tol)
 
 
 @dataclass(frozen=True)
