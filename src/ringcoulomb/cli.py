@@ -99,8 +99,8 @@ def _merge_config(args: argparse.Namespace, problems: list) -> dict:
     """File values fill in unset flags; explicit flags always win.
 
     Config keys may use dashes or underscores; keys matching no flag of any
-    subcommand are reported (typo protection), keys belonging to other
-    subcommands are simply ignored by the one that runs.
+    subcommand are reported (typo protection), and the values of other
+    subcommands' keys meet those subcommands' checks, then go unused.
     """
     merged = {}
     if args.config is not None:
@@ -121,6 +121,11 @@ def _merge_config(args: argparse.Namespace, problems: list) -> dict:
             merged[name] = value
     merged.update((key, value) for key, value in vars(args).items()
                   if key in _KNOWN_KEYS and value is not None)
+    unread = {k: v for k, v in merged.items() if k not in _COMMANDS[args.command][2]}
+    for read in (_physics, _state_ranges, _sampling, _verify_settings):
+        read(unread, problems)      # each reader checks the keys present only
+    _choice(unread, "case", _REDUCE_CASES, _REDUCE_CASES[0], problems)
+    _integer(unread, "negative_control", None, problems)
     return merged
 
 
@@ -340,25 +345,30 @@ def _single_index(cfg, key, problems) -> int:
     return values[0]
 
 
-def _cmd_wavefunction(cfg: dict, problems: list) -> int:
-    fmt, out = _output(cfg, "csv", problems)
-    params, consts, meta_phys = _physics(cfg, problems)
-    N, n, m = (_single_index(cfg, key, problems) for key in ("N", "n", "m"))
+def _sampling(cfg: dict, problems: list) -> tuple:
+    """The wavefunction grid's nr, ntheta and r_max (None: from the state's decay)."""
     nr = _integer(cfg, "nr", 100, problems)
     ntheta = _integer(cfg, "ntheta", 50, problems)
-    for key, degree in (("N", N), ("n", n)):
-        if degree > MAX_DEGREE:
-            problems.append((key, "polynomial degree %d is more than %d" % (degree, MAX_DEGREE)))
-    if nr < 2:
-        problems.append(("nr", "need at least 2 radial samples"))
-    if ntheta < 2:
-        problems.append(("ntheta", "need at least 2 polar samples"))
+    problems += [(key, "need at least 2 %s samples" % axis)
+                 for key, count, axis in (("nr", nr, "radial"), ("ntheta", ntheta, "polar"))
+                 if count < 2]
     if min(nr, ntheta) >= 2 and nr * ntheta > MAX_SAMPLES:
         problems.append(("ntheta", "nr * ntheta = %d samples, more than %d"
                          % (nr * ntheta, MAX_SAMPLES)))
     r_max = _number(cfg, "r_max", None, problems)
     if r_max is not None and r_max <= 0:
         problems.append(("r_max", "must be positive, got %r" % r_max))
+    return nr, ntheta, r_max
+
+
+def _cmd_wavefunction(cfg: dict, problems: list) -> int:
+    fmt, out = _output(cfg, "csv", problems)
+    params, consts, meta_phys = _physics(cfg, problems)
+    N, n, m = (_single_index(cfg, key, problems) for key in ("N", "n", "m"))
+    for key, degree in (("N", N), ("n", n)):
+        if degree > MAX_DEGREE:
+            problems.append((key, "polynomial degree %d is more than %d" % (degree, MAX_DEGREE)))
+    nr, ntheta, r_max = _sampling(cfg, problems)
     if problems:
         raise ConfigError(problems)
 
@@ -408,30 +418,31 @@ def _cmd_wavefunction(cfg: dict, problems: list) -> int:
 _VERIFY_COLUMNS = ["name", "status", "value", "target", "tolerance", "error_estimate"]
 
 
+def _verify_settings(cfg: dict, problems: list) -> tuple:
+    """verify's tolerances, basis grid (None when out of range) and energy offset."""
+    tols = {key: _number(cfg, key, default, problems) for key, default in
+            (("tol_energy", 1e-4), ("tol_lambda", 1e-4), ("tol_residual", 1e-6))}
+    problems += [(key, "must be positive, got %r" % value)
+                 for key, value in tols.items() if value <= 0]
+    n_points = _integer(cfg, "points", 1500, problems)
+    levels = _integer(cfg, "levels", 3, problems)
+    offset = _number(cfg, "perturb_energy", 0.0, problems)
+    bad = [(key, "must lie in %d..%d, got %r" % (lo, hi, value))
+           for key, value, lo, hi in (("points", n_points, oracle.MIN_POINTS, oracle.MAX_POINTS),
+                                      ("levels", levels, oracle.MIN_LEVELS, oracle.MAX_LEVELS))
+           if not lo <= value <= hi]
+    problems += bad
+    grid = None if bad else oracle.GridSpec(n_points, levels)
+    return oracle.VerifyTolerances(*tols.values()), grid, offset
+
+
 def _cmd_verify(cfg: dict, problems: list) -> int:
     # the verification report is JSON-first; CSV mirrors the same fields
     fmt, out = _output(cfg, "json", problems)
     params, consts, meta_phys = _physics(cfg, problems)
     ranges = _state_ranges(cfg, problems, allow_empty=False)
-    tol = oracle.VerifyTolerances(
-        energy_rel=_number(cfg, "tol_energy", 1e-4, problems),
-        lambda_abs=_number(cfg, "tol_lambda", 1e-4, problems),
-        residual_rel=_number(cfg, "tol_residual", 1e-6, problems))
-    for key, value in (("tol_energy", tol.energy_rel), ("tol_lambda", tol.lambda_abs),
-                       ("tol_residual", tol.residual_rel)):
-        if value <= 0:
-            problems.append((key, "must be positive, got %r" % value))
-    n_points = _integer(cfg, "points", 1500, problems)
-    levels = _integer(cfg, "levels", 3, problems)
-    offset = _number(cfg, "perturb_energy", 0.0, problems)
-    in_range = True
-    for key, value, lo, hi in (("points", n_points, oracle.MIN_POINTS, oracle.MAX_POINTS),
-                               ("levels", levels, oracle.MIN_LEVELS, oracle.MAX_LEVELS)):
-        if not lo <= value <= hi:
-            problems.append((key, "must lie in %d..%d, got %r" % (lo, hi, value)))
-            in_range = False
-    if in_range:
-        grid = oracle.GridSpec(n_points=n_points, refinement_levels=levels)
+    tol, grid, offset = _verify_settings(cfg, problems)
+    if grid:
         for key, indices, sizes in (("N", ranges[0], grid.radial_sizes),
                                     ("n", ranges[1], grid.angular_sizes)):
             if indices:
@@ -454,8 +465,8 @@ def _cmd_verify(cfg: dict, problems: list) -> int:
     meta = {"command": "verify", **meta_phys,
             "N": cfg.get("N", "0"), "n": cfg.get("n", "0"), "m": cfg.get("m", "0"),
             "tol_energy": tol.energy_rel, "tol_lambda": tol.lambda_abs,
-            "tol_residual": tol.residual_rel, "points": n_points,
-            "levels": levels, "perturb_energy": offset}
+            "tol_residual": tol.residual_rel, "points": grid.n_points,
+            "levels": grid.refinement_levels, "perturb_energy": offset}
     _emit(_table(fmt, meta, _VERIFY_COLUMNS, checks, key="checks"), out)
     return 0 if all_passed else 1
 

@@ -499,6 +499,36 @@ class TestConfigHandling:
         assert run(["spectrum", "--config", str(cfg)]) == 2
         assert "bete:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, config, lines", [
+        (["reduce", "--case", "ddim"], {"a": "x", "D": 1},
+         ["a: must be a number, got 'x'", "D: must be at least 2, got 1"]),
+        (["reduce", "--case", "ddim"], {"N": "0..x", "nr": 1},
+         ["N: expected an integer or lo..hi range, got '0..x'",
+          "nr: need at least 2 radial samples"]),
+        (["spectrum"], {"tol-energy": -1, "points": 8},
+         ["tol_energy: must be positive, got -1.0", "points: must lie in 64..2048, got 8"]),
+        (["verify"], {"r_max": 0, "case": "dim", "negative_control": 0.5},
+         ["r_max: must be positive, got 0.0",
+          "case: must be one of cheng-dai, kratzer, ddim, coulomb-ring; got 'dim'",
+          "negative_control: must be an integer, got 0.5"]),
+    ])
+    def test_a_key_of_another_command_is_checked(self, argv, config, lines, tmp_path, capsys):
+        # the command ignores the key, but a bad value in a shared file is reported
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        assert run(argv + ["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "".join("error: %s\n" % line for line in lines)
+
+    def test_a_shared_config_file_serves_every_command(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"a": 2.0, "D": 4, "N": "0..1", "nr": 3, "ntheta": 3,
+                                   "points": 64, "levels": 2, "case": "ddim"}))
+        for argv in (["spectrum"], ["wavefunction", "--N", "1"], ["verify"], ["reduce"]):
+            assert run(argv + ["--config", str(cfg)]) == 0, argv
+        assert capsys.readouterr().err == ""
+
     def test_dashed_config_keys_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"tol-energy": 1e-3, "a": 1.0}))
