@@ -45,14 +45,13 @@ s.  A solve takes the leading blocks of ``refinement_levels`` basis sizes
 K, K + 10, ... (:class:`GridSpec`); it reports the largest's values and
 their change from the one before as the error estimate.
 
-:func:`verify_states` runs the recurrence of many solves in one pass over
-their nodes (consecutive states' solves, up to PASS_BYTES of rows or the
-largest solve's), as numpy's per-call cost dominates a recurrence of a few
-dozen rows.  Each node steps with its own rule's coefficients, from the
-expressions of a lone solve, and each solve keeps its own rows, normalized at
-its own last row.  Elementwise operations, and numpy's log and exp on
-contiguous arrays, do not depend on an element's neighbours, so a pass
-changes no bit of any solve.
+:func:`verify_states` solves each (n, m) radially once per run of its N
+(RUN_RATIO); a level read there is within 1e-12 relative of its own solve's.
+It runs the recurrence of many solves in one pass over their nodes
+(PASS_BYTES), as numpy's per-call cost dominates a recurrence of a few dozen
+rows.  Each node steps with its own rule's coefficients and each solve keeps
+its own rows; elementwise operations, numpy's log and exp among them, ignore
+an element's neighbours, so a pass changes no bit.
 """
 
 from __future__ import annotations
@@ -156,16 +155,9 @@ def _coefficients(rule: _Rule, n_rows: int):
     return np.zeros((2, n_rows)), np.stack([off, off]), 1.0
 
 
-#: bytes of the rows one recurrence pass holds: a pass takes solves, in order,
-#: while its rows fit PASS_BYTES or the largest single solve's rows
+#: bytes of the rows of one recurrence pass, 24 per solve, row and node (padded to
+#: the largest solve); it takes the solves consecutive states first need while they fit
 PASS_BYTES = 2**20
-
-
-def _pass_bytes(rules) -> int:
-    """Bytes of the basis values, derivatives and weight growth of one pass,
-    every rule padded to the rows and nodes of the largest."""
-    n_rows = max((rule.size + 2 for rule in rules), default=0)
-    return 24 * len(rules) * n_rows * n_rows
 
 
 def _bases(rules) -> list:
@@ -394,45 +386,70 @@ def _check(name, value, target, error, tolerance, error_estimate=0.0) -> CheckRe
                        error_estimate=error_estimate)
 
 
+#: the N values of one (n, m) share a radial solve while (N_hi + s) / (N_lo + s)
+#: <= RUN_RATIO: a solve's h follows its N_hi, so a longer run under-resolves
+#: N_lo (at 8, by 7e-10 relative; at 4, no level is off by more than 1e-11)
+RUN_RATIO = 4
+
+
+def _run_sizes(Ns, s: float) -> dict:
+    """N -> k_states of the solve it reads: the distinct N, from the highest,
+    cut into runs with (N_hi + s) / (N_lo + s) <= RUN_RATIO, solved at N_hi + 1."""
+    sizes, top = {}, math.inf
+    for N in sorted(set(Ns), reverse=True):
+        if RUN_RATIO * (N + s) < top + s:
+            top = N
+        sizes[N] = top + 1
+    return sizes
+
+
 def verify_states(params: spectrum.PotentialParams, consts: spectrum.PhysicalConstants,
                   states, tolerances: VerifyTolerances | None = None, *,
                   grid: GridSpec = GridSpec(), energy_offset: float = 0.0) -> list:
     """Cross-check closed-form states; one report per state, in input order.
 
-    The polar equation does not involve N, so states sharing (n, m) share
-    their two angular checks; the radial checks run per state.  ``grid`` sets
-    the basis sizes of every solve.  Consecutive states take the basis rows of
-    their solves from one recurrence pass, which changes no digit.
+    States sharing (n, m) share their two angular checks, as the polar
+    equation does not involve N, and one radial solve per run of their N
+    (RUN_RATIO).  ``grid`` sets the basis sizes of every solve.  The solves
+    consecutive states first need take their rows from one recurrence pass.
     """
-    # each state's solves: the polar one if its (n, m) is new, and the radial one
-    needs, indices = [], {}
-    try:
-        for q in states:
-            rules = []
-            if (q.n, q.m) not in indices:
-                indices[q.n, q.m] = spectrum.effective_indices(params, consts, q)
+    block_Ns = {}
+    for q in states:
+        block_Ns.setdefault((q.n, q.m), []).append(q.N)
+    # each state's radial k_states, and the solves it is the first to need:
+    # the polar one of its (n, m) and the radial one of its run
+    sizes, needs, blocks, planned = [], [], {}, set()
+    for q in states:
+        k, rules = None, []
+        try:
+            if (q.n, q.m) not in blocks:
+                eff = spectrum.effective_indices(params, consts, q)
+                s = _radial_setup(eff.alpha, eff.gamma, grid, 1)[0]
+                blocks[q.n, q.m] = eff, _run_sizes(block_Ns[q.n, q.m], s)
                 rules.append(_angular_setup(q.m, params.beta, consts, grid, q.n + 1)[1])
-            eff = indices[q.n, q.m]
-            rules.append(_radial_setup(eff.alpha, eff.gamma, grid, q.N + 1)[3])
-            needs.append(rules)
-    except (spectrum.SpectrumError, OracleError, ArithmeticError, ValueError):
-        pass    # that state raises again from verify_state, after the states before it
-    needs += [[]] * (len(states) - len(needs))
-    budget = max([PASS_BYTES] + [_pass_bytes([r]) for rules in needs for r in rules])
-    angular_checks, reports, start = {}, [], 0
+            eff, run_sizes = blocks[q.n, q.m]
+            run = (q.n, q.m, run_sizes[q.N])
+            if run not in planned:
+                rules.append(_radial_setup(eff.alpha, eff.gamma, grid, run[2])[3])
+                planned.add(run)
+            k = run[2]
+        except (spectrum.SpectrumError, OracleError, ArithmeticError, ValueError):
+            pass    # q solves alone, so its error, if any, comes in state order
+        sizes.append(k)
+        needs.append(rules)
+    shared, reports, start = {}, [], 0
     while start < len(states):
         rules, stop = needs[start], start + 1
         while stop < len(states):
             wider = rules + needs[stop]
-            if _pass_bytes(wider) > budget:
+            if 24 * len(wider) * max((r.size + 2 for r in wider), default=0) ** 2 > PASS_BYTES:
                 break
             rules, stop = wider, stop + 1
         rules = list(dict.fromkeys(rules))
         bases = dict(zip(rules, _bases(rules)))
-        reports += [verify_state(params, consts, q, tolerances, grid=grid,
-                                 energy_offset=energy_offset, angular_checks=angular_checks,
-                                 bases=bases)
-                    for q in states[start:stop]]
+        reports += [verify_state(params, consts, q, tolerances, grid=grid, k_states=k,
+                                 energy_offset=energy_offset, shared=shared, bases=bases)
+                    for q, k in zip(states[start:stop], sizes[start:stop])]
         start = stop
     return reports
 
@@ -441,7 +458,7 @@ def verify_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalCons
                  q: spectrum.QuantumNumbers,
                  tolerances: VerifyTolerances | None = None, *,
                  grid: GridSpec = GridSpec(), energy_offset: float = 0.0,
-                 angular_checks: dict | None = None,
+                 k_states: int | None = None, shared: dict | None = None,
                  bases: dict | None = None) -> VerificationReport:
     """Cross-check one closed-form state against the spectral solvers.
 
@@ -449,26 +466,30 @@ def verify_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalCons
     confirmed closed-form Lambda through gamma) to confirm E, and the ODE
     residuals of the analytic wavefunctions.  ``energy_offset`` shifts the
     closed-form energy before comparison and exists for negative controls.
-    ``angular_checks`` maps (n, m) to the angular checks of states verified
-    with the same arguments apart from N; missing entries are added to it.
+    ``k_states`` (N + 1 by default) sizes the radial solve.  ``shared`` maps
+    (n, m) to the angular checks and (n, m, k_states) to the radial solve of
+    states verified with the same arguments but N, and gains what it lacks.
     ``bases`` is as for :func:`radial_eigen`.
     """
     tol = tolerances or VerifyTolerances()
     entry = spectrum.energy(params, consts, q)
     eff = entry.eff
-    angular_checks = {} if angular_checks is None else angular_checks
-    if (q.n, q.m) not in angular_checks:
+    shared = {} if shared is None else shared
+    if (q.n, q.m) not in shared:
         ang = angular_eigen(q.m, params.beta, consts, grid, q.n + 1, bases=bases)
         lam_num = float(ang.eigenvalues[q.n])
         resid_a, scale_a = angular_ode_residual(params, consts, entry)
-        angular_checks[q.n, q.m] = (
+        shared[q.n, q.m] = (
             _check("angular_lambda", lam_num, eff.Lambda, abs(lam_num - eff.Lambda),
                    tol.lambda_abs, float(ang.est_error[q.n])),
             _check("angular_ode_residual", resid_a, 0.0, resid_a,
                    tol.residual_rel * scale_a))
-    lam_check, resid_a_check = angular_checks[q.n, q.m]
+    lam_check, resid_a_check = shared[q.n, q.m]
 
-    rad = radial_eigen(eff.alpha, eff.gamma, grid, q.N + 1, bases=bases)
+    k = k_states or q.N + 1
+    if (q.n, q.m, k) not in shared:
+        shared[q.n, q.m, k] = radial_eigen(eff.alpha, eff.gamma, grid, k, bases=bases)
+    rad = shared[q.n, q.m, k]
     e_num = float(rad.eigenvalues[q.N])
     E_num = params.c + consts.hbar**2 * e_num / (2.0 * consts.mu)
     E_target = entry.E + energy_offset

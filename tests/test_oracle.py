@@ -183,13 +183,13 @@ class TestBatchedBases:
                        for got, want in zip(basis, oracle._bases([rule])[0])), rule
 
     # at beta = 0, gamma depends on n + m alone, so (n, m) = (0, 1) and (1, 0)
-    # share each radial solve: 36 radial and 4 polar solves for 48 states
-    @pytest.mark.parametrize("beta, solves", [(1.5, 52), (0.0, 40)])
-    def test_reports_from_several_passes_equal_per_state_reports(self, monkeypatch, beta,
-                                                                  solves):
+    # share each radial rule: 9 radial and 4 polar solves take 11 rules
+    @pytest.mark.parametrize("beta, rules", [(1.5, 13), (0.0, 11)])
+    def test_reports_from_several_passes_equal_run_solves_alone(self, monkeypatch, beta,
+                                                                rules):
         params = spectrum.PotentialParams(a=1.2, b=0.3, beta=beta, D=4)
         states = [spectrum.QuantumNumbers(N, n, m)
-                  for N, n, m in itertools.product(range(12), range(2), range(2))]
+                  for N, n, m in itertools.product(range(40), range(2), range(2))]
         passes, bases = [], oracle._bases
 
         def counted(rules):
@@ -198,9 +198,15 @@ class TestBatchedBases:
 
         monkeypatch.setattr(oracle, "_bases", counted)
         reports = oracle.verify_states(params, CONSTS, states)
-        # each solve's rows come from a shared pass, never from a pass of its own
-        assert len(passes) > 1 and min(passes) > 1 and sum(passes) == solves
-        assert reports == [oracle.verify_state(params, CONSTS, q) for q in states]
+        assert len(passes) > 1 and sum(passes) == rules
+        # each state reads its run's solve, bit for bit as a lone solve of that size
+        shared, alone = {}, []
+        for q in states:
+            eff = spectrum.effective_indices(params, CONSTS, q)
+            k = oracle._run_sizes(range(40), oracle._radial_setup(eff.alpha, eff.gamma,
+                                                                  GRID, 1)[0])[q.N]
+            alone.append(oracle.verify_state(params, CONSTS, q, k_states=k, shared=shared))
+        assert reports == alone
 
     def test_errors_surface_in_state_order(self, monkeypatch):
         # the second state has no solve at this grid; when the first state's
@@ -217,6 +223,20 @@ class TestBatchedBases:
         monkeypatch.setattr(oracle, "radial_eigen", failing)
         with pytest.raises(oracle.GridOutOfRange, match="the first state's solve"):
             oracle.verify_states(params, CONSTS, states, grid=grid)
+
+
+    def test_a_run_too_large_to_solve_defers_to_the_states_before_its_top(self):
+        # N = 20 and 23 of (0, 0) make one run, whose solve at k_states = 24 this
+        # grid cannot hold; N = 20 alone fits, so the polar n = 60 of the state
+        # between them raises first, as from a loop of verify_state
+        grid = GridSpec(n_points=64, refinement_levels=2)
+        params = spectrum.PotentialParams(a=1.0)
+        states = [spectrum.QuantumNumbers(20, 0, 0), spectrum.QuantumNumbers(0, 60, 0),
+                  spectrum.QuantumNumbers(23, 0, 0)]
+        with pytest.raises(BasisSizeError, match="polar index n = 60"):
+            oracle.verify_states(params, CONSTS, states, grid=grid)
+        with pytest.raises(BasisSizeError, match="radial index N = 23"):
+            oracle.verify_states(params, CONSTS, states[::2], grid=grid)
 
 
 class TestGridSpec:
@@ -366,11 +386,24 @@ class TestVerifyStates:
               for N, n, m in itertools.product(range(3), range(2), range(2))]
 
     def test_reports_equal_the_per_state_reports(self):
+        # N = 0..2 of each (n, m) read one radial solve at k_states = 3, so a
+        # state verified alone at that size gets the same report; at its own
+        # size, only radial_energy's value and estimate move, by rounding
         reports = oracle.verify_states(self.PARAMS, CONSTS, self.STATES)
-        assert reports == [oracle.verify_state(self.PARAMS, CONSTS, q)
+        assert reports == [oracle.verify_state(self.PARAMS, CONSTS, q, k_states=3)
                            for q in self.STATES]
+        for report, q in zip(reports, self.STATES):
+            for got, want in zip(report.checks,
+                                 oracle.verify_state(self.PARAMS, CONSTS, q).checks):
+                if got.name == "radial_energy":
+                    assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
+                    assert got.error_estimate == pytest.approx(want.error_estimate,
+                                                               abs=1e-12 * abs(want.value))
+                    got = dataclasses.replace(got, value=want.value,
+                                              error_estimate=want.error_estimate)
+                assert got == want
 
-    def test_one_angular_solve_per_n_m_and_one_radial_solve_per_state(self, monkeypatch):
+    def test_one_angular_solve_per_n_m_and_one_radial_solve_per_run(self, monkeypatch):
         angular, radial = collections.Counter(), collections.Counter()
         angular_eigen, radial_eigen = oracle.angular_eigen, oracle.radial_eigen
 
@@ -386,8 +419,41 @@ class TestVerifyStates:
         monkeypatch.setattr(oracle, "radial_eigen", counted_radial)
         oracle.verify_states(self.PARAMS, CONSTS, self.STATES)
         assert angular == {(n, m): 1 for n in range(2) for m in range(2)}
-        assert sum(radial.values()) == len(self.STATES) == 12
-        assert set(radial.values()) == {1}
+        # s >= 1, so N = 0..2 is one run of each (n, m), solved for N_hi = 2
+        blocks = {spectrum.effective_indices(self.PARAMS, CONSTS, q) for q in self.STATES}
+        assert radial == {(eff.alpha, eff.gamma, 2): 1 for eff in blocks}
+        assert len(radial) == 4
+
+    def test_long_n_range_reads_every_level_within_tolerance(self, monkeypatch):
+        # gamma = 0 has the smallest s, where a run's h, set by its top N,
+        # resolves its lowest N least.  The finite-difference residual of a
+        # degree-300 Laguerre polynomial is not under test and takes the time
+        solves, radial_eigen = [], oracle.radial_eigen
+
+        def counted(alpha, gamma, grid, k_states, **kwargs):
+            solves.append(k_states)
+            return radial_eigen(alpha, gamma, grid, k_states, **kwargs)
+
+        monkeypatch.setattr(oracle, "radial_eigen", counted)
+        monkeypatch.setattr(oracle, "radial_ode_residual", lambda *args, **kwargs: (0.0, 1.0))
+        params = spectrum.PotentialParams(a=1.0, b=0.0, beta=0.0, D=3)
+        reports = oracle.verify_states(params, CONSTS,
+                                       [spectrum.QuantumNumbers(N, 0, 0) for N in range(301)])
+        assert solves == [4, 18, 75, 301]
+        energy = [c for report in reports for c in report.checks if c.name == "radial_energy"]
+        assert len(energy) == 301
+        assert max(abs(c.value - c.target) / c.tolerance for c in energy) <= 1e-2
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 6.0, 100.0])
+    def test_runs_keep_their_ratio(self, s):
+        Ns = [0, 1, 2, 3, 5, 9, 30, 31, 200, 737]
+        sizes = oracle._run_sizes(Ns + [5, 0], s)
+        assert sorted(sizes) == Ns
+        for N, k in sizes.items():
+            assert k - 1 in Ns and N <= k - 1
+            assert k - 1 + s <= oracle.RUN_RATIO * (N + s)
+        # every range verify_sweep draws, N <= 2, is one run
+        assert set(oracle._run_sizes([0, 1, 2], s).values()) == {3}
 
     def test_energy_offset_fails_only_the_radial_checks(self):
         # the offset shifts E, which the shared angular checks never see
