@@ -8,7 +8,7 @@ Layout:
   energies and the published limiting cases
 - :mod:`ringcoulomb.wavefunctions` -- normalized radial/angular/azimuthal
   factors with in-house Laguerre and Jacobi kernels
-- :mod:`ringcoulomb.quadrature` -- adaptive Gauss-Legendre integration
+- :mod:`ringcoulomb.quadrature` -- the decay-rule cutoff radius of a radial envelope
 - :mod:`ringcoulomb.oracle` -- Galerkin eigensolvers for the separated
   equations and state verification
 - :mod:`ringcoulomb.cli` -- the ``ringcoulomb`` command

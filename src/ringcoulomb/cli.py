@@ -421,7 +421,7 @@ _VERIFY_COLUMNS = ["name", "status", "value", "target", "tolerance", "error_esti
 def _verify_settings(cfg: dict, problems: list) -> tuple:
     """verify's tolerances, basis grid (None when out of range) and energy offset."""
     tols = {key: _number(cfg, key, default, problems) for key, default in
-            (("tol_energy", 1e-4), ("tol_lambda", 1e-4), ("tol_residual", 1e-6))}
+            (("tol_energy", 1e-4), ("tol_lambda", 1e-4), ("tol_state", 1e-7))}
     problems += [(key, "must be positive, got %r" % value)
                  for key, value in tols.items() if value <= 0]
     n_points = _integer(cfg, "points", 1500, problems)
@@ -442,19 +442,14 @@ def _cmd_verify(cfg: dict, problems: list) -> int:
     params, consts, meta_phys = _physics(cfg, problems)
     ranges = _state_ranges(cfg, problems, allow_empty=False)
     tol, grid, offset = _verify_settings(cfg, problems)
-    if grid:
-        for key, indices, sizes in (("N", ranges[0], grid.radial_sizes),
-                                    ("n", ranges[1], grid.angular_sizes)):
-            if indices:
-                try:
-                    sizes(indices[-1] + 1)
-                except oracle.BasisSizeError as exc:
-                    problems.append((key, str(exc)))
     if problems:
         raise ConfigError(problems)
 
     states = [spectrum.QuantumNumbers(N=N, n=n, m=m)
               for N, n, m in itertools.product(*ranges)]
+    problems += oracle.size_problems(params, consts, states, grid)
+    if problems:
+        raise ConfigError(problems)
     reports = oracle.verify_states(params, consts, states, tol, grid=grid,
                                    energy_offset=offset)
 
@@ -465,7 +460,7 @@ def _cmd_verify(cfg: dict, problems: list) -> int:
     meta = {"command": "verify", **meta_phys,
             "N": cfg.get("N", "0"), "n": cfg.get("n", "0"), "m": cfg.get("m", "0"),
             "tol_energy": tol.energy_rel, "tol_lambda": tol.lambda_abs,
-            "tol_residual": tol.residual_rel, "points": grid.n_points,
+            "tol_state": tol.state_abs, "points": grid.n_points,
             "levels": grid.refinement_levels, "perturb_energy": offset}
     _emit(_table(fmt, meta, _VERIFY_COLUMNS, checks, key="checks"), out)
     return 0 if all_passed else 1
@@ -570,7 +565,7 @@ _COMMANDS = {
     "wavefunction": (_cmd_wavefunction, "density grid of one state",
                      _PHYSICS + _OUTPUT + _STATES + ("nr", "ntheta", "r_max")),
     "verify": (_cmd_verify, "spectral eigensolver cross-check of states",
-               _PHYSICS + _OUTPUT + _STATES + ("tol_energy", "tol_lambda", "tol_residual",
+               _PHYSICS + _OUTPUT + _STATES + ("tol_energy", "tol_lambda", "tol_state",
                                               "points", "levels", "perturb_energy")),
     "reduce": (_cmd_reduce, "limiting-case formulas vs the general one",
                ("beta", "mu", "hbar") + _OUTPUT + ("case", "negative_control")),

@@ -3,7 +3,8 @@
 The solvers share no algebra with the closed forms.  Each expands its
 separated equation in a basis built from the ODE's own indicial exponent,
 integrates the weak form with one Gauss rule, and takes the eigenvalues of
-the dense symmetric matrix with ``numpy.linalg.eigvalsh``.
+the dense symmetric matrix with ``numpy.linalg.eigvalsh``, and the
+eigenvectors of the largest basis with ``numpy.linalg.eigh``.
 
 Radial, in Liouville form for g = r^((D-1)/2) R, with e = 2 mu (E - c) / hbar^2:
 
@@ -36,6 +37,15 @@ Independence: both exponents come from indicial equations, never from the
 energy formula, and both solvers diagonalize the operator.  The closed-form
 decay rate only sets h; a wrong one slows convergence but moves no eigenvalue.
 
+Wavefunctions: an eigenvector v holds the unit-norm numerical eigenfunction's
+coefficients in the orthonormal basis.  The same Gauss rule projects the
+closed-form R (as g) or H, given in the log domain at the nodes, onto the
+basis: c_k = sum_j p_k(x_j) sqrt(w_j) f_j, where f_j is sqrt(w_j) times the
+function times the basis prefactor over the rule's weight.  A check reads
+||c - (+-)v||, 0 up to the truncation of the basis for a right state.  It is
+linear in C and h_n^(-1/2), so it sees the normalization that an ODE residual
+cannot, and it reads a relative error of the function in any length unit.
+
 Numerics: Gauss nodes are eigenvalues of the Jacobi matrix.  Weights come
 from the Christoffel sum w_j = 1 / sum_k P_k(x_j)^2, not from eigenvector
 components, whose small entries lose their relative accuracy.  Rows are
@@ -46,7 +56,9 @@ K, K + 10, ... (:class:`GridSpec`); it reports the largest's values and
 their change from the one before as the error estimate.
 
 :func:`verify_states` solves each (n, m) radially once per run of its N
-(RUN_RATIO); a level read there is within 1e-12 relative of its own solve's.
+(RUN_RATIO); a level read there is within 1e-12 relative of its own solve's,
+and an eigenvector within a distance of 2e-9.  :func:`size_problems` finds
+the solves too large for the basis cap from the same plan, solving none.
 It runs the recurrence of many solves in one pass over their nodes
 (PASS_BYTES), as numpy's per-call cost dominates a recurrence of a few dozen
 rows.  Each node steps with its own rule's coefficients and each solve keeps
@@ -125,6 +137,21 @@ class GridEigenResult:
     eigenvalues: np.ndarray          # values at the largest basis, ascending
     est_error: np.ndarray            # change from the next smaller basis
     levels: list = field(default_factory=list)  # values at each basis size
+    # the values' eigenvectors at the largest basis, one column each, and what
+    # :meth:`distance` projects a function with: the points where it is
+    # sampled, the basis rows there and the log of each point's factor
+    vectors: np.ndarray = None
+    nodes: np.ndarray = None
+    rows: np.ndarray = None
+    log_weights: np.ndarray = None
+
+    def distance(self, index: int, sign, log_abs) -> float:
+        """||c - (+-)v|| for v the eigenvector ``index`` and c the basis
+        coefficients of the function sign * exp(log_abs) given at ``nodes``,
+        which the Gauss rule projects; for a unit-norm eigenfunction it is 0."""
+        c = self.rows @ (sign * np.exp(self.log_weights + log_abs))
+        v = self.vectors[:, index]
+        return float(np.linalg.norm(c - math.copysign(1.0, c @ v) * v))
 
 
 class _Rule(NamedTuple):
@@ -139,20 +166,23 @@ class _Rule(NamedTuple):
 def _coefficients(rule: _Rule, n_rows: int):
     """Rows 0 .. n_rows - 1 of the recurrence y P_k = off[k+1] P_{k+1} + diag[k] P_k
     + off[k] P_{k-1} of the rule's weight (row 0) and of the basis weight (row 1),
-    and the basis's P_0 over the rule's."""
+    the basis's P_0 over the rule's, and log sqrt of the rule weight's integral."""
     j = np.arange(n_rows, dtype=float)
     if rule.radial:
         a = rule.param                  # the Gauss rule's weight x^a e^(-x)
         # the basis weight is x^(a+2) e^(-x); both recurrences run in y = x - (a + 1)
         diag = np.stack([2.0 * j, 2.0 * j + 2.0])
         off = np.sqrt(np.stack([j * (j + a), j * (j + a + 2.0)]))
-        return diag, off, 1.0 / math.sqrt((a + 1.0) * (a + 2.0))
+        return diag, off, 1.0 / math.sqrt((a + 1.0) * (a + 2.0)), 0.5 * math.lgamma(a + 1.0)
     p = rule.param                      # both weights are (1 - s^2)^p
     off = np.zeros(n_rows)
     off[1] = 1.0 / math.sqrt(2.0 * p + 3.0)   # the general form below is 0/0 at p = -1/2
     j = j[2:]
     off[2:] = np.sqrt(j * (j + 2.0 * p) / ((2.0 * j + 2.0 * p + 1.0) * (2.0 * j + 2.0 * p - 1.0)))
-    return np.zeros((2, n_rows)), np.stack([off, off]), 1.0
+    # the integral of (1 - s^2)^p over (-1, 1) is 2^(2p+1) Gamma(p+1)^2 / Gamma(2p+2)
+    log_mass = ((2.0 * p + 1.0) * math.log(2.0) + 2.0 * math.lgamma(p + 1.0)
+                - math.lgamma(2.0 * p + 2.0))
+    return np.zeros((2, n_rows)), np.stack([off, off]), 1.0, 0.5 * log_mass
 
 
 #: bytes of the rows of one recurrence pass, 24 per solve, row and node (padded to
@@ -161,9 +191,10 @@ PASS_BYTES = 2**20
 
 
 def _bases(rules) -> list:
-    """Per rule, its Gauss nodes y and its basis rows p and dp, each (size, nodes):
+    """Per rule, its Gauss nodes y, its basis rows p and dp, each (size, nodes):
     the orthonormal basis polynomials and their derivatives at y, times sqrt of
-    each node's Christoffel weight.
+    each node's Christoffel weight w, and log sqrt(w), which stays finite where
+    the p_0 row underflows.
 
     One recurrence pass runs over the nodes of every rule, rule i's in row i
     of the node array, so its coefficients broadcast along that row.  Each node
@@ -177,9 +208,9 @@ def _bases(rules) -> list:
     # rule i owns row i of y: its nodes, then copies of its last node
     y = np.empty((len(rules), n_rows))
     diag, off = np.empty((3, len(rules), n_rows)), np.empty((3, len(rules), n_rows))
-    start = np.empty((len(rules), 1))
+    start, log_mass = np.empty((len(rules), 1)), np.empty(len(rules))
     for i, rule in enumerate(rules):
-        d, o, start[i] = _coefficients(rule, n_rows)
+        d, o, start[i], log_mass[i] = _coefficients(rule, n_rows)
         n = rule.size + 2
         y[i, :n] = np.linalg.eigvalsh(np.diag(d[0, :n]) + np.diag(o[0, 1:n], -1))
         y[i, n:] = y[i, n - 1]
@@ -205,21 +236,26 @@ def _bases(rules) -> list:
     for i, rule in enumerate(rules):
         size, n = rule.size, rule.size + 2
         scale = np.exp(log_norm[:size, i, :n] - log_norm[size + 1, i, :n])
-        bases.append((y[i, :n], rows[:size, 0, i, :n] * scale, rows[:size, 1, i, :n] * scale))
+        bases.append((y[i, :n], rows[:size, 0, i, :n] * scale, rows[:size, 1, i, :n] * scale,
+                      log_mass[i] - log_norm[size + 1, i, :n]))
     return bases
 
 
-def _levels(matrix, sizes, k_states) -> GridEigenResult:
+def _levels(matrix, sizes, k_states, nodes, rows, log_weights) -> GridEigenResult:
     """Lowest eigenvalues of the leading blocks of the largest basis's matrix,
-    each exactly the matrix of the smaller basis, the Gauss rule being exact."""
+    each exactly the matrix of the smaller basis, the Gauss rule being exact,
+    and the largest's eigenvectors."""
     if not np.isfinite(matrix).all():
         raise GridOutOfRange("the basis matrix has entries outside the float range")
     try:
         levels = [np.linalg.eigvalsh(matrix[:size, :size])[:k_states] for size in sizes]
+        # eigh's values differ from eigvalsh's in the last digits; only its vectors are read
+        vectors = np.linalg.eigh(matrix)[1][:, :k_states]
     except np.linalg.LinAlgError as exc:
         raise GridOutOfRange("the eigensolver failed at this scale: %s" % exc) from exc
     return GridEigenResult(eigenvalues=levels[-1],
-                           est_error=np.abs(levels[-1] - levels[-2]), levels=levels)
+                           est_error=np.abs(levels[-1] - levels[-2]), levels=levels,
+                           vectors=vectors, nodes=nodes, rows=rows, log_weights=log_weights)
 
 
 def _radial_setup(alpha, gamma, grid, k_states):
@@ -249,12 +285,14 @@ def radial_eigen(alpha: float, gamma: float, grid: GridSpec,
     in it gets a pass of its own.
     """
     s, h, sizes, rule = _radial_setup(alpha, gamma, grid, k_states)
-    y, p, dp = bases[rule] if bases and rule in bases else _bases([rule])[0]
+    y, p, dp, log_sqrt_w = bases[rule] if bases and rule in bases else _bases([rule])[0]
     # Galerkin matrix of x^s e^(-x/2) p_k(x); eigenvalues h^2 e
     x = y + (rule.param + 1.0)
     u = s * p - 0.5 * x * p + x * dp    # x^(1-s) e^(x/2) d/dx of a basis function
     matrix = u @ u.T + (p * (gamma - alpha * h * x)) @ p.T
-    return _levels(matrix / (h * h), sizes, k_states)
+    # a function g of r = h x has the coefficients p (sqrt(w h) g(h x) x^(2-s) e^(x/2))
+    return _levels(matrix / (h * h), sizes, k_states, h * x, p,
+                   log_sqrt_w + 0.5 * math.log(h) + (2.0 - s) * np.log(x) + 0.5 * x)
 
 
 def _angular_setup(m, beta, consts, grid, k_states):
@@ -278,11 +316,14 @@ def angular_eigen(m: int, beta: float, consts: spectrum.PhysicalConstants,
     ``bases`` is as for :func:`radial_eigen`.
     """
     sizes, rule = _angular_setup(m, beta, consts, grid, k_states)
-    y, _, dq = bases[rule] if bases and rule in bases else _bases([rule])[0]
+    y, q, dq, log_sqrt_w = bases[rule] if bases and rule in bases else _bases([rule])[0]
     # Galerkin matrix of (1 - s^2)^(p/2) q_k(s); eigenvalues Lambda
-    d = dq * np.sqrt((1.0 - y) * (1.0 + y))
+    sigma = (1.0 - y) * (1.0 + y)
+    d = dq * np.sqrt(sigma)
     matrix = d @ d.T + (rule.param + float(m * m)) * np.eye(rule.size)
-    return _levels(matrix, sizes, k_states)
+    # a function H of theta = arccos(s) has the coefficients q (sqrt(w) H (1 - s^2)^(-p/2))
+    return _levels(matrix, sizes, k_states, np.arccos(y), q,
+                   log_sqrt_w - 0.5 * rule.param * np.log(sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +334,7 @@ def angular_eigen(m: int, beta: float, consts: spectrum.PhysicalConstants,
 class VerifyTolerances:
     energy_rel: float = 1e-4
     lambda_abs: float = 1e-4
-    residual_rel: float = 1e-6
+    state_abs: float = 1e-7
 
 
 @dataclass(frozen=True)
@@ -319,67 +360,6 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-#: the ODE residuals sample RESIDUAL_POINTS points of r in RADIAL_WINDOW and of
-#: theta in (POLAR_PAD, pi - POLAR_PAD), with finite-difference step RESIDUAL_STEP
-RESIDUAL_POINTS = 200
-RADIAL_WINDOW = (0.1, 20.0)
-POLAR_PAD = 0.1
-RESIDUAL_STEP = 5e-4
-
-
-def _fd_derivatives(f, x, h):
-    """f(x), f'(x) and f''(x) from f evaluated once at each of x - 2h ... x + 2h."""
-    fm2, fm1, f0, fp1, fp2 = f(x - 2 * h), f(x - h), f(x), f(x + h), f(x + 2 * h)
-    # fourth-order five-point stencils; they keep the truncation term
-    # negligible even where the coefficients grow like 1/r^2 on the test grid
-    first = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
-    second = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
-    return f0, first, second
-
-
-def radial_ode_residual(params, consts, entry, *, energy_offset=0.0):
-    """Max residual of g'' + [e + alpha/r - gamma/r^2] g over a test grid.
-
-    ``entry`` is the state's ``spectrum.energy`` result.  Returns
-    (max_residual, scale) with scale = max|g| * max|coefficient|; the second
-    derivative is taken by central differences of the analytic g.
-    """
-    eff = entry.eff
-    state = wavefunctions.radial_state_of(entry, params.D)
-    e = 2.0 * consts.mu * (entry.E + energy_offset - params.c) / consts.hbar**2
-
-    def g(r):
-        return np.power(r, 0.5 * (params.D - 1)) * wavefunctions.radial_R(state, r)
-
-    r = np.linspace(*RADIAL_WINDOW, RESIDUAL_POINTS)
-    coef = e + eff.alpha / r - eff.gamma / (r * r)
-    g0, _, g2 = _fd_derivatives(g, r, RESIDUAL_STEP)
-    resid = g2 + coef * g0
-    scale = np.max(np.abs(g0)) * max(np.max(np.abs(coef)), 1.0)
-    return float(np.max(np.abs(resid))), float(scale)
-
-
-def angular_ode_residual(params, consts, entry):
-    """Max residual of the polar ODE for the analytic H over (POLAR_PAD, pi - POLAR_PAD).
-
-    ``entry`` is the state's ``spectrum.energy`` result.
-    """
-    q, eff = entry.quantum, entry.eff
-    state = wavefunctions.angular_state(q.n, eff.m_prime, params.D)
-    kappa = 2.0 * consts.mu * params.beta / consts.hbar**2
-
-    def H(theta):
-        return wavefunctions.angular_H(state, theta)
-
-    theta = np.linspace(POLAR_PAD, math.pi - POLAR_PAD, RESIDUAL_POINTS)
-    sin2 = np.sin(theta) ** 2
-    coef = eff.Lambda - (q.m**2 + kappa * np.cos(theta) ** 2) / sin2
-    H0, H1, H2 = _fd_derivatives(H, theta, RESIDUAL_STEP)
-    resid = H2 + (np.cos(theta) / np.sin(theta)) * H1 + coef * H0
-    scale = np.max(np.abs(H0)) * max(np.max(np.abs(coef)), 1.0)
-    return float(np.max(np.abs(resid))), float(scale)
-
-
 def _check(name, value, target, error, tolerance, error_estimate=0.0) -> CheckResult:
     return CheckResult(name=name, status="pass" if error <= tolerance else "fail",
                        value=value, target=target, tolerance=tolerance,
@@ -403,6 +383,52 @@ def _run_sizes(Ns, s: float) -> dict:
     return sizes
 
 
+def _plan(params, consts, states, grid) -> tuple:
+    """Per state, the N values of the run whose solve it reads (none: it
+    solves alone) and the rules of the solves it is the first to need, the
+    polar one of its (n, m) and the radial one of its run; and the
+    BasisSizeErrors that left a state to solve alone."""
+    block_Ns = {}
+    for q in states:
+        block_Ns.setdefault((q.n, q.m), []).append(q.N)
+    runs, needs, too_large, blocks, planned = [], [], [], {}, set()
+    for q in states:
+        run, rules = (), []
+        try:
+            if (q.n, q.m) not in blocks:
+                eff = spectrum.effective_indices(params, consts, q)
+                s = _radial_setup(eff.alpha, eff.gamma, grid, 1)[0]
+                run_sizes, members = _run_sizes(block_Ns[q.n, q.m], s), {}
+                for N, k in run_sizes.items():
+                    members.setdefault(k, []).append(N)
+                blocks[q.n, q.m] = eff, run_sizes, members
+                rules.append(_angular_setup(q.m, params.beta, consts, grid, q.n + 1)[1])
+            eff, run_sizes, members = blocks[q.n, q.m]
+            k = run_sizes[q.N]
+            if (q.n, q.m, k) not in planned:
+                rules.append(_radial_setup(eff.alpha, eff.gamma, grid, k)[3])
+                planned.add((q.n, q.m, k))
+            run = members[k]
+        except BasisSizeError as exc:
+            too_large.append(exc)   # q solves alone and meets it again, in state order
+        except (spectrum.SpectrumError, OracleError, ArithmeticError, ValueError):
+            pass    # q solves alone, so its error, if any, comes in state order
+        runs.append(run)
+        needs.append(rules)
+    return runs, needs, too_large
+
+
+def size_problems(params: spectrum.PotentialParams, consts: spectrum.PhysicalConstants,
+                  states, grid: GridSpec) -> list:
+    """("N", message) and ("n", message) for the first radial and the first
+    polar solve of ``states`` that needs more basis functions than ``grid``
+    holds, as :func:`verify_states` would meet them; it solves nothing."""
+    found = {}
+    for exc in _plan(params, consts, states, grid)[2]:
+        found.setdefault("N" if str(exc).startswith("radial") else "n", str(exc))
+    return [(index, found[index]) for index in ("N", "n") if index in found]
+
+
 def verify_states(params: spectrum.PotentialParams, consts: spectrum.PhysicalConstants,
                   states, tolerances: VerifyTolerances | None = None, *,
                   grid: GridSpec = GridSpec(), energy_offset: float = 0.0) -> list:
@@ -413,30 +439,7 @@ def verify_states(params: spectrum.PotentialParams, consts: spectrum.PhysicalCon
     (RUN_RATIO).  ``grid`` sets the basis sizes of every solve.  The solves
     consecutive states first need take their rows from one recurrence pass.
     """
-    block_Ns = {}
-    for q in states:
-        block_Ns.setdefault((q.n, q.m), []).append(q.N)
-    # each state's radial k_states, and the solves it is the first to need:
-    # the polar one of its (n, m) and the radial one of its run
-    sizes, needs, blocks, planned = [], [], {}, set()
-    for q in states:
-        k, rules = None, []
-        try:
-            if (q.n, q.m) not in blocks:
-                eff = spectrum.effective_indices(params, consts, q)
-                s = _radial_setup(eff.alpha, eff.gamma, grid, 1)[0]
-                blocks[q.n, q.m] = eff, _run_sizes(block_Ns[q.n, q.m], s)
-                rules.append(_angular_setup(q.m, params.beta, consts, grid, q.n + 1)[1])
-            eff, run_sizes = blocks[q.n, q.m]
-            run = (q.n, q.m, run_sizes[q.N])
-            if run not in planned:
-                rules.append(_radial_setup(eff.alpha, eff.gamma, grid, run[2])[3])
-                planned.add(run)
-            k = run[2]
-        except (spectrum.SpectrumError, OracleError, ArithmeticError, ValueError):
-            pass    # q solves alone, so its error, if any, comes in state order
-        sizes.append(k)
-        needs.append(rules)
+    runs, needs, _ = _plan(params, consts, states, grid)
     shared, reports, start = {}, [], 0
     while start < len(states):
         rules, stop = needs[start], start + 1
@@ -447,58 +450,76 @@ def verify_states(params: spectrum.PotentialParams, consts: spectrum.PhysicalCon
             rules, stop = wider, stop + 1
         rules = list(dict.fromkeys(rules))
         bases = dict(zip(rules, _bases(rules)))
-        reports += [verify_state(params, consts, q, tolerances, grid=grid, k_states=k,
+        reports += [verify_state(params, consts, q, tolerances, grid=grid, run=run,
                                  energy_offset=energy_offset, shared=shared, bases=bases)
-                    for q, k in zip(states[start:stop], sizes[start:stop])]
+                    for q, run in zip(states[start:stop], runs[start:stop])]
         start = stop
     return reports
+
+
+def _angular_checks(params, consts, q, tol, grid, bases) -> tuple:
+    """The angular_lambda and angular_wavefunction checks of q's (n, m)."""
+    eff = spectrum.energy(params, consts, q).eff
+    ang = angular_eigen(q.m, params.beta, consts, grid, q.n + 1, bases=bases)
+    lam_num = float(ang.eigenvalues[q.n])
+    state = wavefunctions.angular_state(q.n, eff.m_prime, params.D)
+    distance = ang.distance(q.n, *wavefunctions.log_angular_H(state, ang.nodes))
+    return (_check("angular_lambda", lam_num, eff.Lambda, abs(lam_num - eff.Lambda),
+                   tol.lambda_abs, float(ang.est_error[q.n])),
+            _check("angular_wavefunction", distance, 0.0, distance, tol.state_abs))
+
+
+def _radial_checks(params, consts, q, run, tol, grid, energy_offset, bases) -> dict:
+    """N -> the radial_energy and radial_wavefunction checks of (N, q.n, q.m)
+    for every N of ``run``, from one solve sized for the last."""
+    entries = [spectrum.energy(params, consts, spectrum.QuantumNumbers(N, q.n, q.m))
+               for N in run]
+    eff = entries[0].eff
+    rad = radial_eigen(eff.alpha, eff.gamma, grid, run[-1] + 1, bases=bases)
+    log_liouville = 0.5 * (params.D - 1) * np.log(rad.nodes)   # g = r^((D-1)/2) R
+    checks = {}
+    for N, entry in zip(run, entries):
+        E_num = params.c + consts.hbar**2 * float(rad.eigenvalues[N]) / (2.0 * consts.mu)
+        E_target = entry.E + energy_offset
+        scale = max(abs(E_target), abs(E_target - params.c))
+        sign, log_R = wavefunctions.log_radial_R(
+            wavefunctions.radial_state_of(entry, params.D), rad.nodes)
+        distance = rad.distance(N, sign, log_R + log_liouville)
+        checks[N] = (
+            _check("radial_energy", E_num, E_target, abs(E_num - E_target),
+                   tol.energy_rel * scale,
+                   float(rad.est_error[N]) * consts.hbar**2 / (2.0 * consts.mu)),
+            _check("radial_wavefunction", distance, 0.0, distance, tol.state_abs))
+    return checks
 
 
 def verify_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalConstants,
                  q: spectrum.QuantumNumbers,
                  tolerances: VerifyTolerances | None = None, *,
                  grid: GridSpec = GridSpec(), energy_offset: float = 0.0,
-                 k_states: int | None = None, shared: dict | None = None,
+                 run=(), shared: dict | None = None,
                  bases: dict | None = None) -> VerificationReport:
     """Cross-check one closed-form state against the spectral solvers.
 
-    Runs the angular solver to confirm Lambda, the radial solver (fed the
-    confirmed closed-form Lambda through gamma) to confirm E, and the ODE
-    residuals of the analytic wavefunctions.  ``energy_offset`` shifts the
-    closed-form energy before comparison and exists for negative controls.
-    ``k_states`` (N + 1 by default) sizes the radial solve.  ``shared`` maps
-    (n, m) to the angular checks and (n, m, k_states) to the radial solve of
-    states verified with the same arguments but N, and gains what it lacks.
-    ``bases`` is as for :func:`radial_eigen`.
+    Runs the angular solver to confirm Lambda and the radial solver (fed the
+    confirmed closed-form Lambda through gamma) to confirm E.  Each solve's
+    eigenvector of the state checks the closed-form R or H, normalization
+    included, through the distance ||c - v|| of :meth:`GridEigenResult.distance`.
+    ``energy_offset`` shifts the closed-form energy before comparison and
+    exists for negative controls; the wavefunction checks do not read it.
+    ``run`` lists N values that share q's radial solve; it is sized for the
+    highest of them and q.N, and checks them all.  ``shared`` maps (n, m) to
+    the angular checks and (n, m, k_states) to the radial checks read from the
+    solve of that size, for states verified with the same arguments but N, and
+    gains what it lacks.  ``bases`` is as for :func:`radial_eigen`.
     """
     tol = tolerances or VerifyTolerances()
-    entry = spectrum.energy(params, consts, q)
-    eff = entry.eff
     shared = {} if shared is None else shared
     if (q.n, q.m) not in shared:
-        ang = angular_eigen(q.m, params.beta, consts, grid, q.n + 1, bases=bases)
-        lam_num = float(ang.eigenvalues[q.n])
-        resid_a, scale_a = angular_ode_residual(params, consts, entry)
-        shared[q.n, q.m] = (
-            _check("angular_lambda", lam_num, eff.Lambda, abs(lam_num - eff.Lambda),
-                   tol.lambda_abs, float(ang.est_error[q.n])),
-            _check("angular_ode_residual", resid_a, 0.0, resid_a,
-                   tol.residual_rel * scale_a))
-    lam_check, resid_a_check = shared[q.n, q.m]
-
-    k = k_states or q.N + 1
-    if (q.n, q.m, k) not in shared:
-        shared[q.n, q.m, k] = radial_eigen(eff.alpha, eff.gamma, grid, k, bases=bases)
-    rad = shared[q.n, q.m, k]
-    e_num = float(rad.eigenvalues[q.N])
-    E_num = params.c + consts.hbar**2 * e_num / (2.0 * consts.mu)
-    E_target = entry.E + energy_offset
-    scale = max(abs(E_target), abs(E_target - params.c))
-    resid, scale_r = radial_ode_residual(params, consts, entry, energy_offset=energy_offset)
-    return VerificationReport(checks=[
-        lam_check,
-        _check("radial_energy", E_num, E_target, abs(E_num - E_target),
-               tol.energy_rel * scale,
-               float(rad.est_error[q.N]) * consts.hbar**2 / (2.0 * consts.mu)),
-        _check("radial_ode_residual", resid, 0.0, resid, tol.residual_rel * scale_r),
-        resid_a_check])
+        shared[q.n, q.m] = _angular_checks(params, consts, q, tol, grid, bases)
+    radial = shared.setdefault((q.n, q.m, max([q.N, *run]) + 1), {})
+    if q.N not in radial:
+        radial.update(_radial_checks(params, consts, q, sorted({q.N, *run}), tol, grid,
+                                     energy_offset, bases))
+    lam_check, angular_check = shared[q.n, q.m]
+    return VerificationReport(checks=[lam_check, *radial[q.N], angular_check])

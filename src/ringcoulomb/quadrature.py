@@ -1,82 +1,8 @@
-"""Adaptive composite Gauss-Legendre quadrature.
-
-Global strategy: every panel carries an embedded 21- vs 10-node error
-estimate, and the panel with the worst estimate is bisected until the summed
-estimate meets the tolerance.  No endpoint is ever sampled, so integrable
-endpoint singularities (r**p with p > -1, exponential tails cut at a finite
-radius) are handled by refinement alone; genuinely divergent integrands keep
-their error mass no matter how finely they are split and exhaust the panel
-budget instead of converging silently.
-"""
+"""The decay-rule cutoff radius of a radial envelope r**power * exp(-rate*r)."""
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
-
-import numpy as np
-
-_NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(21)
-_NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(10)
-
-
-class NoConvergence(Exception):
-    """Panel budget exhausted; carries the best estimate and its error."""
-
-    def __init__(self, message, best, error):
-        super().__init__(message)
-        self.best = best
-        self.error = error
-
-
-@dataclass(frozen=True)
-class QuadResult:
-    value: float
-    error: float
-
-
-def _panel(f, a, b):
-    """(integral, error estimate) on one panel from the embedded pair."""
-    mid = 0.5 * (a + b)
-    rad = 0.5 * (b - a)
-    hi = rad * float(np.dot(_WEIGHTS_HI, f(mid + rad * _NODES_HI)))
-    lo = rad * float(np.dot(_WEIGHTS_LO, f(mid + rad * _NODES_LO)))
-    return hi, abs(hi - lo)
-
-
-def integrate(f, a, b, *, tol=1e-10, max_panels=20000) -> QuadResult:
-    """Integrate a vectorized callable over [a, b] to absolute tolerance tol."""
-    if not b > a:
-        raise ValueError("need b > a")
-    value, err = _panel(f, a, b)
-    heap = [(-err, 0, a, b, value)]
-    total_err = err
-    counter = 1
-    while total_err > tol:
-        if len(heap) >= max_panels:
-            raise NoConvergence(
-                "tolerance %g not reached with %d panels (error %g)"
-                % (tol, max_panels, total_err),
-                best=math.fsum(item[4] for item in heap), error=total_err)
-        neg_err, _, lo, hi, val = heapq.heappop(heap)
-        if (hi - lo) <= 1e-15 * (abs(lo) + abs(hi)):
-            # worst panel has collapsed to roundoff width and still carries
-            # the error mass: the integrand does not converge there
-            heapq.heappush(heap, (neg_err, counter, lo, hi, val))
-            raise NoConvergence(
-                "panel at [%g, %g] cannot be refined further (error %g)"
-                % (lo, hi, total_err),
-                best=math.fsum(item[4] for item in heap), error=total_err)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _panel(f, lo, mid)
-        v2, e2 = _panel(f, mid, hi)
-        total_err += e1 + e2 + neg_err
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1))
-        heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2))
-        counter += 2
-    return QuadResult(value=math.fsum(item[4] for item in heap),
-                      error=max(total_err, 0.0))
 
 
 def decay_cutoff(power: float, rate: float, *, drop=1e-18) -> float:

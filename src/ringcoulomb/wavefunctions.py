@@ -18,6 +18,10 @@ shape (DLMF 18.3).  The textbook prefactor sqrt((2l'+1)(l'-m')! / (2 (l'+m')!))
 only normalizes the m' in {0, 1} family; the state keeps it as a diagnostic,
 with the norm it would give and whether that misses 1 by more than
 NORM_CHECK_TOL.  Quadrature serves only as a reference.
+
+Both factors are evaluated in the log domain (:func:`log_radial_R`,
+:func:`log_angular_H`) and exponentiated once per sample, so that a C that
+underflows or a polynomial that overflows costs no representable value.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectrum
-from .special import jacobi, laguerre, sin_power
+from .special import jacobi, laguerre, log_power, log_sin_power
 
 #: relative misnormalization of the textbook angular prefactor above which a
 #: state is reported as ``adjusted``
@@ -96,6 +100,14 @@ def radial_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalCons
     return radial_state_of(spectrum.energy(params, consts, q), params.D)
 
 
+def log_radial_R(state: RadialState, r):
+    """(sign, log|R(r)|) = log C + expo log r - eps r + log|L_N^(2L+1)(2 eps r)|,
+    expo = L - (D-3)/2, with r**0 = 1 at r = 0; r may be a scalar or ndarray."""
+    sign, log_poly = laguerre(state.N, 2.0 * state.L + 1.0, 2.0 * state.epsilon * r)
+    log_C = log_normalization_C(state.N, state.L, state.epsilon)
+    return sign, log_C + log_power(r, state.L - 0.5 * (state.D - 3)) - state.epsilon * r + log_poly
+
+
 def radial_R(state: RadialState, r):
     """Radial wavefunction; r may be a scalar or ndarray.
 
@@ -104,11 +116,8 @@ def radial_R(state: RadialState, r):
     for exponent in (-1/2, 0).
     """
     r = np.asarray(r, dtype=float) if np.ndim(r) else float(r)
-    expo = state.L - 0.5 * (state.D - 3)
-    with np.errstate(divide="ignore"):
-        power = np.power(r, expo)
-    return (state.C * power * np.exp(-state.epsilon * r)
-            * laguerre(state.N, 2.0 * state.L + 1.0, 2.0 * state.epsilon * r))
+    sign, log_abs = log_radial_R(state, r)
+    return sign * np.exp(log_abs)
 
 
 @dataclass(frozen=True)
@@ -175,11 +184,18 @@ def angular_state(n: int, mp: float, D: int = 3) -> AngularState:
                         adjusted=adjusted)
 
 
+def log_angular_H(state: AngularState, theta):
+    """(sign, log|H(theta)|) = log norm + m' log sin(theta) + log|P_n^(m',m')(cos theta)|,
+    with sin**0 = 1 at the poles; theta may be a scalar or ndarray."""
+    sign, log_poly = jacobi(state.n, state.m_prime, state.m_prime, np.cos(theta))
+    return sign, math.log(state.norm) + log_sin_power(theta, state.m_prime) + log_poly
+
+
 def angular_H(state: AngularState, theta):
     """Polar wavefunction H(theta); theta may be a scalar or ndarray."""
     theta = np.asarray(theta, dtype=float) if np.ndim(theta) else float(theta)
-    return (state.norm * sin_power(theta, state.m_prime)
-            * jacobi(state.n, state.m_prime, state.m_prime, np.cos(theta)))
+    sign, log_abs = log_angular_H(state, theta)
+    return sign * np.exp(log_abs)
 
 
 @dataclass(frozen=True)
@@ -209,38 +225,28 @@ class BoundState:
     angular: AngularState
 
     def psi(self, r, theta, phi, sign: int = +1):
-        """Total wavefunction through the combined prefactor.
-
-        A single exp of summed log terms replaces the product of the three
-        factor constants, so that psi == R * H * Phi pointwise, with the
-        azimuthal factor Phi = exp(sign i m phi) / sqrt(2 pi) and sign +1 or -1.
-        """
+        """Total wavefunction R * H * Phi, with the azimuthal factor
+        Phi = exp(sign i m phi) / sqrt(2 pi) and sign +1 or -1."""
         if sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
-        rad, ang = self.radial, self.angular
-        log_pref = (log_normalization_C(rad.N, rad.L, rad.epsilon)
-                    + math.log(ang.norm) - 0.5 * math.log(2.0 * math.pi))
-        expo = rad.L - 0.5 * (rad.D - 3)
-        r = np.asarray(r, dtype=float) if np.ndim(r) else float(r)
-        with np.errstate(divide="ignore"):
-            power = np.power(r, expo)
-        radial_part = (power * np.exp(-rad.epsilon * r)
-                       * laguerre(rad.N, 2.0 * rad.L + 1.0, 2.0 * rad.epsilon * r))
-        angular_part = (sin_power(theta, ang.m_prime)
-                        * jacobi(ang.n, ang.m_prime, ang.m_prime, np.cos(theta)))
         if np.ndim(phi):
             azim = np.exp(1j * sign * self.quantum.m * np.asarray(phi, dtype=float))
         else:
             azim = cmath.exp(1j * sign * self.quantum.m * phi)
-        return math.exp(log_pref) * radial_part * angular_part * azim
+        return (radial_R(self.radial, r) * angular_H(self.angular, theta)
+                * (azim / math.sqrt(2.0 * math.pi)))
 
     def density(self, r, theta):
         """Probability density against dr dtheta dphi: |psi|^2 r^(D-1) sin(theta).
 
-        Independent of phi and of the azimuthal sign.
+        Independent of phi and of the azimuthal sign.  The logs of the factors
+        add before one exp, so that no factor's underflow costs a normal
+        density its digits.
         """
-        amp = np.abs(self.psi(r, theta, 0.0))
-        return amp * amp * np.power(r, self.params.D - 1) * np.sin(theta)
+        log_amp = log_radial_R(self.radial, r)[1] + log_angular_H(self.angular, theta)[1]
+        with np.errstate(divide="ignore"):
+            log_measure = log_power(r, self.params.D - 1) + np.log(np.sin(theta))
+        return np.exp(2.0 * log_amp + log_measure - math.log(2.0 * math.pi))
 
 
 def bound_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalConstants,

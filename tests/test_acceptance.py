@@ -213,9 +213,9 @@ def test_wavefunction_contracts():
     ]
     for params, q in cases:
         entry = spectrum.energy(params, CONSTS, q)
-        resid, scale = oracle.radial_ode_residual(params, CONSTS, entry)
+        resid, scale = references.radial_ode_residual(params, CONSTS, entry)
         ok &= resid <= 1e-6 * scale
-        resid, scale = oracle.angular_ode_residual(params, CONSTS, entry)
+        resid, scale = references.angular_ode_residual(params, CONSTS, entry)
         ok &= resid <= 1e-6 * scale
 
     # radial norm within 1e-8

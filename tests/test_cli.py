@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringcoulomb import cli, spectrum
+from ringcoulomb import cli, oracle, spectrum
 
 
 #: the one kind of line exit code 2 writes to stderr
@@ -214,6 +214,47 @@ class TestVerify:
         assert header == ["name", "status", "value", "target", "tolerance",
                           "error_estimate"]
         assert len(rows) == 4
+
+    def test_perturbed_energy_fails_only_the_energy_check(self, capsys):
+        assert run(["verify", "--a", "1", "--N", "0..1", "--perturb-energy", "1e-2",
+                    "--format", "json"]) == 1
+        failed = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"]
+                  if c["status"] != "pass"}
+        assert failed == {"N0_n0_m0.radial_energy", "N1_n0_m0.radial_energy"}
+
+    @pytest.mark.parametrize("physics", [
+        ["--a", "1e-4"],
+        ["--a", "1000"],
+        ["--a", "2.307e-28", "--mu", "9.109e-31", "--hbar", "1.0546e-34"],
+        ["--b", "3e4"],
+    ], ids=["a_1e-4", "a_1000", "si_hydrogen", "b_3e4"])
+    def test_wavefunction_checks_hold_at_every_length_scale(self, physics, capsys):
+        # finite-difference residuals on a fixed window of r failed a = 1000,
+        # passed SI hydrogen with 0.0 against a tolerance of 0.0, and printed
+        # numpy warnings and a NaN row at b = 3e4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["verify", *physics, "--N", "0..1", "--m", "0..1", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        checks = [c for c in json.loads(captured.out)["checks"]
+                  if c["name"].endswith("_wavefunction")]
+        assert len(checks) == 8
+        assert all(0.0 < c["value"] <= 1e-2 * c["tolerance"] for c in checks)
+
+    def test_basis_cap_reads_the_state_exponent_and_runs_no_solve(self, monkeypatch, capsys):
+        # at b = 1e5 the radial exponent s = 448 adds int(s / 16) = 27 basis
+        # functions; a cap rule that took s = 1 let N = 725 through to its solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        for name in ("_bases", "radial_eigen", "angular_eigen"):
+            monkeypatch.setattr(oracle, name, no_solve)
+        assert run(["verify", "--a", "1", "--b", "1e5", "--N", "725"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: N: radial index N = 725 needs 1507 basis "
+                                "functions, more than the cap of 1500\n")
 
     def test_sweep_mode_merges_sorted(self, tmp_path):
         out = tmp_path / "verify.json"
@@ -433,7 +474,7 @@ class TestBadInput:
     @pytest.mark.parametrize("key, value, line", [
         ("tol_energy", -1, "tol_energy: must be positive, got -1.0"),
         ("tol_lambda", 0, "tol_lambda: must be positive, got 0.0"),
-        ("tol_residual", "-0.0", "tol_residual: must be positive, got -0.0"),
+        ("tol_state", "-0.0", "tol_state: must be positive, got -0.0"),
     ])
     def test_tolerances_must_be_positive(self, key, value, line, tmp_path, capsys):
         # a negative tolerance failed every check; a zero one passed exact values
@@ -472,9 +513,10 @@ class TestBadInput:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("indices", [
-        ["--m", "300"],
-        ["--N", "60", "--n", "60", "--m", "60"],
-    ], ids=["m300", "N60_n60_m60"])
+        # 2 eps r overflows a float at the outer samples, and the Laguerre
+        # recurrence with it
+        ["--a", "10", "--N", "2", "--r-max", "1e308"],
+    ], ids=["two_eps_r_overflows"])
     def test_non_finite_density_is_not_data(self, indices, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -546,7 +588,7 @@ _FLAGS = {
     "wavefunction": ("a", "b", "c", "beta", "D", "mu", "hbar", "format", "N", "n", "m",
                      "nr", "ntheta", "r-max"),
     "verify": ("a", "b", "c", "beta", "D", "mu", "hbar", "format", "N", "n", "m",
-               "tol-energy", "tol-lambda", "tol-residual", "points", "levels",
+               "tol-energy", "tol-lambda", "tol-state", "points", "levels",
                "perturb-energy"),
     "reduce": ("beta", "mu", "hbar", "format", "case", "negative-control"),
 }

@@ -9,13 +9,18 @@ import warnings
 import numpy as np
 import pytest
 
-from ringcoulomb import oracle, spectrum
+from ringcoulomb import oracle, spectrum, wavefunctions
 from ringcoulomb.oracle import (
     BasisSizeError,
     GridSpec,
     OracleError,
     VerifyTolerances,
 )
+
+import references
+
+# a NaN that a numpy warning announces must fail here, not print a row
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 CONSTS = spectrum.PhysicalConstants()
 GRID = GridSpec()
@@ -205,7 +210,7 @@ class TestBatchedBases:
             eff = spectrum.effective_indices(params, CONSTS, q)
             k = oracle._run_sizes(range(40), oracle._radial_setup(eff.alpha, eff.gamma,
                                                                   GRID, 1)[0])[q.N]
-            alone.append(oracle.verify_state(params, CONSTS, q, k_states=k, shared=shared))
+            alone.append(oracle.verify_state(params, CONSTS, q, run=range(k), shared=shared))
         assert reports == alone
 
     def test_errors_surface_in_state_order(self, monkeypatch):
@@ -301,14 +306,14 @@ class TestOdeResiduals:
              spectrum.QuantumNumbers(2, 0, 0)),
         ]
         for params, q in cases:
-            resid, scale = oracle.radial_ode_residual(
+            resid, scale = references.radial_ode_residual(
                 params, CONSTS, spectrum.energy(params, CONSTS, q))
             assert resid <= 1e-6 * scale
 
     def test_radial_residual_detects_wrong_energy(self):
         params = spectrum.PotentialParams(a=1.0)
         q = spectrum.QuantumNumbers(0, 0, 0)
-        resid, scale = oracle.radial_ode_residual(
+        resid, scale = references.radial_ode_residual(
             params, CONSTS, spectrum.energy(params, CONSTS, q), energy_offset=1e-2)
         assert resid > 1e-6 * scale
 
@@ -320,7 +325,7 @@ class TestOdeResiduals:
              spectrum.QuantumNumbers(0, 2, 2)),
         ]
         for params, q in cases:
-            resid, scale = oracle.angular_ode_residual(
+            resid, scale = references.angular_ode_residual(
                 params, CONSTS, spectrum.energy(params, CONSTS, q))
             assert resid <= 1e-6 * scale
 
@@ -330,9 +335,42 @@ class TestVerifyState:
         report = oracle.verify_state(spectrum.PotentialParams(a=1.0), CONSTS,
                                      spectrum.QuantumNumbers(0, 0, 0))
         assert report.passed
-        assert {c.name for c in report.checks} == {
-            "angular_lambda", "radial_energy", "radial_ode_residual",
-            "angular_ode_residual"}
+        assert [c.name for c in report.checks] == [
+            "angular_lambda", "radial_energy", "radial_wavefunction",
+            "angular_wavefunction"]
+
+    @pytest.mark.parametrize("shift", [1e-6, 5.0], ids=["log_C_plus_1e-6", "C_times_e5"])
+    def test_wrong_radial_constant_fails_only_the_radial_wavefunction(self, monkeypatch,
+                                                                       shift):
+        log_C = wavefunctions.log_normalization_C
+        monkeypatch.setattr(wavefunctions, "log_normalization_C",
+                            lambda N, L, eps: log_C(N, L, eps) + shift)
+        for report in oracle.verify_states(TestVerifyStates.PARAMS, CONSTS,
+                                           TestVerifyStates.STATES):
+            assert {c.name for c in report.checks if not c.passed} == {"radial_wavefunction"}
+
+    @pytest.mark.parametrize("field", ["epsilon", "L"])
+    def test_wrong_radial_shape_fails_only_the_radial_wavefunction(self, monkeypatch, field):
+        # a decay rate or an index 1e-4 off, with the normalization that fits it
+        radial_state_of = wavefunctions.radial_state_of
+
+        def shifted(entry, D):
+            state = radial_state_of(entry, D)
+            return dataclasses.replace(state, **{field: getattr(state, field) * (1.0 + 1e-4)})
+
+        monkeypatch.setattr(wavefunctions, "radial_state_of", shifted)
+        for report in oracle.verify_states(TestVerifyStates.PARAMS, CONSTS,
+                                           TestVerifyStates.STATES):
+            assert {c.name for c in report.checks if not c.passed} == {"radial_wavefunction"}
+
+    def test_wrong_angular_norm_fails_only_the_angular_wavefunction(self, monkeypatch):
+        # h_n * (1 + 1e-6) moves H by 5e-7 of its norm
+        log_h = wavefunctions.log_jacobi_norm
+        monkeypatch.setattr(wavefunctions, "log_jacobi_norm",
+                            lambda n, mp: log_h(n, mp) + math.log1p(1e-6))
+        for report in oracle.verify_states(TestVerifyStates.PARAMS, CONSTS,
+                                           TestVerifyStates.STATES):
+            assert {c.name for c in report.checks if not c.passed} == {"angular_wavefunction"}
 
     def test_perturbed_energy_fails_radial_check(self):
         report = oracle.verify_state(spectrum.PotentialParams(a=1.0), CONSTS,
@@ -388,9 +426,9 @@ class TestVerifyStates:
     def test_reports_equal_the_per_state_reports(self):
         # N = 0..2 of each (n, m) read one radial solve at k_states = 3, so a
         # state verified alone at that size gets the same report; at its own
-        # size, only radial_energy's value and estimate move, by rounding
+        # size, only the radial values and estimates move, by rounding
         reports = oracle.verify_states(self.PARAMS, CONSTS, self.STATES)
-        assert reports == [oracle.verify_state(self.PARAMS, CONSTS, q, k_states=3)
+        assert reports == [oracle.verify_state(self.PARAMS, CONSTS, q, run=range(3))
                            for q in self.STATES]
         for report, q in zip(reports, self.STATES):
             for got, want in zip(report.checks,
@@ -401,6 +439,9 @@ class TestVerifyStates:
                                                                abs=1e-12 * abs(want.value))
                     got = dataclasses.replace(got, value=want.value,
                                               error_estimate=want.error_estimate)
+                if got.name == "radial_wavefunction":
+                    assert abs(got.value - want.value) <= 1e-12
+                    got = dataclasses.replace(got, value=want.value)
                 assert got == want
 
     def test_one_angular_solve_per_n_m_and_one_radial_solve_per_run(self, monkeypatch):
@@ -426,8 +467,7 @@ class TestVerifyStates:
 
     def test_long_n_range_reads_every_level_within_tolerance(self, monkeypatch):
         # gamma = 0 has the smallest s, where a run's h, set by its top N,
-        # resolves its lowest N least.  The finite-difference residual of a
-        # degree-300 Laguerre polynomial is not under test and takes the time
+        # resolves its lowest N least, in its level and in its eigenvector
         solves, radial_eigen = [], oracle.radial_eigen
 
         def counted(alpha, gamma, grid, k_states, **kwargs):
@@ -435,7 +475,6 @@ class TestVerifyStates:
             return radial_eigen(alpha, gamma, grid, k_states, **kwargs)
 
         monkeypatch.setattr(oracle, "radial_eigen", counted)
-        monkeypatch.setattr(oracle, "radial_ode_residual", lambda *args, **kwargs: (0.0, 1.0))
         params = spectrum.PotentialParams(a=1.0, b=0.0, beta=0.0, D=3)
         reports = oracle.verify_states(params, CONSTS,
                                        [spectrum.QuantumNumbers(N, 0, 0) for N in range(301)])
@@ -443,6 +482,10 @@ class TestVerifyStates:
         energy = [c for report in reports for c in report.checks if c.name == "radial_energy"]
         assert len(energy) == 301
         assert max(abs(c.value - c.target) / c.tolerance for c in energy) <= 1e-2
+        state = [c for report in reports for c in report.checks
+                 if c.name == "radial_wavefunction"]
+        assert len(state) == 301
+        assert max(c.value / c.tolerance for c in state) <= 1e-1
 
     @pytest.mark.parametrize("s", [1.0, 1.5, 6.0, 100.0])
     def test_runs_keep_their_ratio(self, s):
@@ -456,12 +499,12 @@ class TestVerifyStates:
         assert set(oracle._run_sizes([0, 1, 2], s).values()) == {3}
 
     def test_energy_offset_fails_only_the_radial_checks(self):
-        # the offset shifts E, which the shared angular checks never see
+        # the offset shifts the target E alone: neither the wavefunction
+        # checks nor the shared angular checks read it
         clean = oracle.verify_states(self.PARAMS, CONSTS, self.STATES)
         shifted = oracle.verify_states(self.PARAMS, CONSTS, self.STATES,
                                        energy_offset=1e-2)
         for before, after in zip(clean, shifted):
-            assert {c.name for c in after.checks if not c.passed} == {
-                "radial_energy", "radial_ode_residual"}
+            assert {c.name for c in after.checks if not c.passed} == {"radial_energy"}
             assert ([c for c in after.checks if c.name.startswith("angular")]
                     == [c for c in before.checks if c.name.startswith("angular")])

@@ -1,12 +1,15 @@
-"""Recurrence kernels against explicit finite-sum formulas and scipy."""
+"""Recurrence kernels against explicit finite-sum formulas, scipy and mpmath."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, eval_jacobi
 
-from ringcoulomb.special import jacobi, laguerre, sin_power
+from ringcoulomb import special
+
+from references import jacobi, laguerre, sin_power
 
 
 def _binom(top: float, k: int) -> float:
@@ -113,6 +116,32 @@ class TestJacobi:
                 want = eval_jacobi(n, a, b, x)
                 got = jacobi(n, a, b, x)
                 assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
+
+
+class TestLogForm:
+    """(sign, log|P|) where P itself overflows or underflows a float."""
+
+    @mpmath.workdps(50)
+    @pytest.mark.parametrize("family, n, params, x", [
+        ("laguerre", 400, (3.0,), [0.5, 37.3, 900.0, 2500.0, 1e5]),
+        ("laguerre", 60, (601.0,), [1.0, 700.0, 3e4]),
+        ("jacobi", 1000, (1000.0, 1000.0), [-0.999, -0.3, 0.0, 0.61, 1.0]),
+        ("jacobi", 300, (0.5, 2.5), [-1.0, -0.2, 0.95]),
+    ])
+    def test_against_mpmath(self, family, n, params, x):
+        sign, log_abs = getattr(special, family)(n, *params, np.array(x))
+        assert np.all(np.isfinite(log_abs))
+        for s, got, point in zip(sign, log_abs, x):
+            want = getattr(mpmath, family)(n, *params, point)
+            assert s == mpmath.sign(want)
+            assert got == pytest.approx(float(mpmath.log(abs(want))), rel=1e-12, abs=1e-11)
+
+    def test_signs_and_small_values(self):
+        # L_3(x) = (-x^3 + 9x^2 - 18x + 6) / 6: 1 at x = 0, -1/3 at x = 2
+        sign, log_abs = special.laguerre(3, 0.0, np.array([0.0, 2.0]))
+        assert list(sign) == [1.0, -1.0]
+        assert np.exp(log_abs) == pytest.approx([1.0, 1.0 / 3.0], rel=1e-15)
+        assert special.jacobi(0, 0.7, 0.7, 0.3) == (1.0, 0.0)
 
 
 class TestSinPower:

@@ -1,6 +1,8 @@
 """Wavefunction normalization, factorization and special-value tests."""
 
 import cmath
+import contextlib
+import io
 import math
 import sys
 
@@ -9,10 +11,9 @@ import numpy as np
 import pytest
 from scipy.special import lpmv
 
-from ringcoulomb import quadrature, spectrum, wavefunctions as wf
-from ringcoulomb.special import jacobi, sin_power
-
+from ringcoulomb import cli, quadrature, spectrum, wavefunctions as wf
 import references
+from references import jacobi, sin_power
 
 CONSTS = spectrum.PhysicalConstants()
 
@@ -29,7 +30,7 @@ def shape_norm_by_quadrature(n: int, mp: float) -> float:
         shape = sin_power(theta, mp) * jacobi(n, mp, mp, np.cos(theta))
         return shape * shape * np.sin(theta)
 
-    return quadrature.integrate(integrand, 0.0, math.pi, tol=1e-12).value
+    return references.integrate(integrand, 0.0, math.pi, tol=1e-12).value
 
 
 class TestNormalizationConstant:
@@ -315,7 +316,7 @@ class TestTotalPsi:
                     out[i] = float(np.dot(w_theta, state.density(float(r), theta)))
                 return out
 
-            res = quadrature.integrate(theta_integrated, 0.0, r_max, tol=1e-9)
+            res = references.integrate(theta_integrated, 0.0, r_max, tol=1e-9)
             assert res.value * 2.0 * math.pi == pytest.approx(1.0, abs=1e-6)
 
     def test_eval_point_validation(self):
@@ -330,3 +331,53 @@ class TestTotalPsi:
         with pytest.raises(ValueError, match="phi"):
             wf.EvalPoint(r=1.0, theta=0.5, phi=2 * math.pi)
         wf.EvalPoint(r=1.0, theta=0.5, phi=math.nextafter(2 * math.pi, 0.0))
+
+
+def mp_density_factors(state: wf.BoundState, r: float, theta: float) -> tuple:
+    """R^2 r^(D-1) and H^2 sin(theta) / (2 pi) of the paper's closed form, whose
+    product is the density, at the working precision of mpmath, with Laguerre
+    and Jacobi values from mpmath's own hypergeometric sums."""
+    rad, ang, D = state.radial, state.angular, state.params.D
+    L, eps, N = mpmath.mpf(rad.L), mpmath.mpf(rad.epsilon), rad.N
+    C2 = ((2 * eps) ** (2 * L + 3) * mpmath.factorial(N)
+          / (2 * (N + L + 1) * mpmath.gamma(N + 2 * L + 2)))
+    r = mpmath.mpf(r)
+    radial = (C2 * r ** (2 * L + 2) * mpmath.exp(-2 * eps * r)
+              * mpmath.laguerre(N, 2 * L + 1, 2 * eps * r) ** 2)
+    mp, n = mpmath.mpf(ang.m_prime), ang.n
+    h = (2 ** (2 * mp + 1) * mpmath.gamma(n + mp + 1) ** 2
+         / ((2 * n + 2 * mp + 1) * mpmath.factorial(n) * mpmath.gamma(n + 2 * mp + 1)))
+    theta = mpmath.mpf(theta)
+    polar = (mpmath.sin(theta) ** (2 * mp + 1) * mpmath.jacobi(n, mp, mp, mpmath.cos(theta)) ** 2
+             / (2 * mpmath.pi * h))
+    return radial, polar
+
+
+class TestLargeQuantumNumbers:
+    """C underflows, or the Laguerre recurrence overflows, at these valid
+    states; the log-domain kernels keep every density that a float can hold."""
+
+    @pytest.mark.parametrize("N, n, m", [(0, 150, 0), (0, 0, 300), (60, 60, 60), (400, 0, 0)])
+    @mpmath.workdps(50)
+    def test_cli_density_against_mpmath(self, N, n, m):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["wavefunction", "--a", "1", "--beta", "1", "--N", str(N),
+                             "--n", str(n), "--m", str(m), "--nr", "50", "--ntheta", "30"])
+        assert code == 0
+        rows = [tuple(map(float, line.split(","))) for line in out.getvalue().splitlines()
+                if line and line[0].isdigit()]
+        assert len(rows) == 1500 and all(math.isfinite(d) for _, _, d in rows)
+        state = wf.bound_state(spectrum.PotentialParams(a=1.0, beta=1.0), CONSTS,
+                               spectrum.QuantumNumbers(N, n, m))
+        radial = {r: mp_density_factors(state, r, 1.0)[0] for r, _, _ in rows[::30]}
+        # the mesh's ends are the poles, where H takes sin(pi - theta) = 0
+        polar = {theta: mp_density_factors(state, 1.0, theta)[1] for _, theta, _ in rows[1:29]}
+        compared = 0
+        for r, theta, density in rows:
+            if theta in polar:
+                want = radial[r] * polar[theta]
+                if sys.float_info.min <= want <= sys.float_info.max:
+                    assert abs(density - want) <= 1e-10 * want, (r, theta)
+                    compared += 1
+        assert compared > 900
