@@ -447,11 +447,12 @@ def _cmd_verify(cfg: dict, problems: list) -> int:
 
     states = [spectrum.QuantumNumbers(N=N, n=n, m=m)
               for N, n, m in itertools.product(*ranges)]
-    problems += oracle.size_problems(params, consts, states, grid)
-    if problems:
-        raise ConfigError(problems)
-    reports = oracle.verify_states(params, consts, states, tol, grid=grid,
-                                   energy_offset=offset)
+    try:
+        reports = oracle.verify_states(params, consts, states, tol, grid=grid,
+                                       energy_offset=offset)
+    except oracle.BasisSizeError as exc:    # planned, before any solve ran
+        raise ConfigError([("N" if message.startswith("radial") else "n", message)
+                           for message in exc.args]) from None
 
     checks = [("N%d_n%d_m%d.%s" % (q.N, q.n, q.m, c.name), c.status, c.value,
                c.target, c.tolerance, c.error_estimate)

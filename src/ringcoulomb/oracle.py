@@ -55,15 +55,16 @@ s.  A solve takes the leading blocks of ``refinement_levels`` basis sizes
 K, K + 10, ... (:class:`GridSpec`); it reports the largest's values and
 their change from the one before as the error estimate.
 
-:func:`verify_states` solves each (n, m) radially once per run of its N
-(RUN_RATIO); a level read there is within 1e-12 relative of its own solve's,
-and an eigenvector within a distance of 2e-9.  :func:`size_problems` finds
-the solves too large for the basis cap from the same plan, solving none.
-It runs the recurrence of many solves in one pass over their nodes
-(PASS_BYTES), as numpy's per-call cost dominates a recurrence of a few dozen
-rows.  Each node steps with its own rule's coefficients and each solve keeps
-its own rows; elementwise operations, numpy's log and exp among them, ignore
-an element's neighbours, so a pass changes no bit.
+:func:`verify_states` plans every solve of its states before it runs any
+(:func:`_plan`): one polar solve per (n, m) and one radial solve per run of
+its N (RUN_RATIO); a level read from a run's solve is within 1e-12 relative
+of its own solve's, and an eigenvector within a distance of 2e-9.  A solve
+too large for the basis cap, or any other planning error, raises before a
+solve runs.  It runs the recurrence of many solves in one pass over their
+nodes (PASS_BYTES), as numpy's per-call cost dominates a recurrence of a
+few dozen rows.  Each node steps with its own rule's coefficients and each
+solve keeps its own rows; elementwise operations, numpy's log and exp among
+them, ignore an element's neighbours, so a pass changes no bit.
 """
 
 from __future__ import annotations
@@ -82,7 +83,11 @@ class OracleError(Exception):
 
 
 class BasisSizeError(OracleError):
-    """A basis-size cap, K-step count or state count that a solve cannot take."""
+    """A basis-size cap, K-step count or state count that a solve cannot take;
+    ``args`` holds one message per solve past the cap."""
+
+    def __str__(self):
+        return "; ".join(self.args)
 
 
 class GridOutOfRange(OracleError):
@@ -123,7 +128,7 @@ class GridSpec:
                                  % (index, k_states - 1, sizes[-1], self.n_points))
         return sizes
 
-    def radial_sizes(self, k_states: int, s: float = 1.0) -> list:
+    def radial_sizes(self, k_states: int, s: float) -> list:
         """Radial sizes, from 2 k_states + 8 + s/16; BasisSizeError past the cap."""
         return self._sizes(k_states, 2 * k_states + 8 + int(s / 16.0), "radial index N")
 
@@ -186,7 +191,7 @@ def _coefficients(rule: _Rule, n_rows: int):
 
 
 #: bytes of the rows of one recurrence pass, 24 per solve, row and node (padded to
-#: the largest solve); it takes the solves consecutive states first need while they fit
+#: the largest solve); it takes consecutive solves of the plan while they fit
 PASS_BYTES = 2**20
 
 
@@ -383,50 +388,48 @@ def _run_sizes(Ns, s: float) -> dict:
     return sizes
 
 
-def _plan(params, consts, states, grid) -> tuple:
-    """Per state, the N values of the run whose solve it reads (none: it
-    solves alone) and the rules of the solves it is the first to need, the
-    polar one of its (n, m) and the radial one of its run; and the
-    BasisSizeErrors that left a state to solve alone."""
-    block_Ns = {}
+def _plan(params, consts, states, grid) -> list:
+    """The solves of ``states``, each its rule and the closed-form entries it
+    checks: each (n, m)'s polar solve at its first state, with that state's
+    entry, and each run's radial solve at the run's top N, whose own solve it
+    is, with the run's entries.  Raises before any solve: one BasisSizeError
+    naming the first radial and the first polar solve past the cap, else the
+    first other error, in state order."""
+    block_Ns, blocks, entries, solves, too_large, failed = {}, {}, {}, [], {}, []
     for q in states:
         block_Ns.setdefault((q.n, q.m), []).append(q.N)
-    runs, needs, too_large, blocks, planned = [], [], [], {}, set()
-    for q in states:
-        run, rules = (), []
+
+    def attempt(step):
         try:
-            if (q.n, q.m) not in blocks:
-                eff = spectrum.effective_indices(params, consts, q)
-                s = _radial_setup(eff.alpha, eff.gamma, grid, 1)[0]
-                run_sizes, members = _run_sizes(block_Ns[q.n, q.m], s), {}
-                for N, k in run_sizes.items():
-                    members.setdefault(k, []).append(N)
-                blocks[q.n, q.m] = eff, run_sizes, members
-                rules.append(_angular_setup(q.m, params.beta, consts, grid, q.n + 1)[1])
-            eff, run_sizes, members = blocks[q.n, q.m]
-            k = run_sizes[q.N]
-            if (q.n, q.m, k) not in planned:
-                rules.append(_radial_setup(eff.alpha, eff.gamma, grid, k)[3])
-                planned.add((q.n, q.m, k))
-            run = members[k]
+            return step()
         except BasisSizeError as exc:
-            too_large.append(exc)   # q solves alone and meets it again, in state order
-        except (spectrum.SpectrumError, OracleError, ArithmeticError, ValueError):
-            pass    # q solves alone, so its error, if any, comes in state order
-        runs.append(run)
-        needs.append(rules)
-    return runs, needs, too_large
+            too_large.setdefault(str(exc).startswith("radial"), str(exc))
+        except (spectrum.SpectrumError, OracleError, ArithmeticError, ValueError) as exc:
+            failed.append(exc)
 
-
-def size_problems(params: spectrum.PotentialParams, consts: spectrum.PhysicalConstants,
-                  states, grid: GridSpec) -> list:
-    """("N", message) and ("n", message) for the first radial and the first
-    polar solve of ``states`` that needs more basis functions than ``grid``
-    holds, as :func:`verify_states` would meet them; it solves nothing."""
-    found = {}
-    for exc in _plan(params, consts, states, grid)[2]:
-        found.setdefault("N" if str(exc).startswith("radial") else "n", str(exc))
-    return [(index, found[index]) for index in ("N", "n") if index in found]
+    for q in dict.fromkeys(states):
+        first = (q.n, q.m) not in blocks
+        if first:
+            eff = attempt(lambda: spectrum.effective_indices(params, consts, q))
+            # the radial indicial exponent s is L + 1
+            blocks[q.n, q.m] = eff, eff and _run_sizes(block_Ns[q.n, q.m], eff.L + 1.0)
+        eff, run_sizes = blocks[q.n, q.m]
+        if eff is None:
+            continue
+        entries[q] = attempt(lambda: spectrum.energy(params, consts, q, eff))
+        if first:
+            solves.append((attempt(lambda: _angular_setup(q.m, params.beta, consts, grid,
+                                                          q.n + 1)[1]), [q]))
+        if run_sizes[q.N] == q.N + 1:
+            run = [spectrum.QuantumNumbers(N, q.n, q.m)
+                   for N, k in sorted(run_sizes.items()) if k == q.N + 1]
+            solves.append((attempt(lambda: _radial_setup(eff.alpha, eff.gamma, grid,
+                                                         q.N + 1)[3]), run))
+    if too_large:
+        raise BasisSizeError(*(message for _, message in sorted(too_large.items(), reverse=True)))
+    if failed:
+        raise failed[0]
+    return [(rule, [entries[q] for q in run]) for rule, run in solves]
 
 
 def verify_states(params: spectrum.PotentialParams, consts: spectrum.PhysicalConstants,
@@ -436,56 +439,57 @@ def verify_states(params: spectrum.PotentialParams, consts: spectrum.PhysicalCon
 
     States sharing (n, m) share their two angular checks, as the polar
     equation does not involve N, and one radial solve per run of their N
-    (RUN_RATIO).  ``grid`` sets the basis sizes of every solve.  The solves
-    consecutive states first need take their rows from one recurrence pass.
+    (RUN_RATIO).  ``grid`` sets the basis sizes of every solve.  Every solve
+    is planned, and a planning error raised, before any runs (:func:`_plan`);
+    the solves consecutive in the plan take their rows from one recurrence pass.
     """
-    runs, needs, _ = _plan(params, consts, states, grid)
-    shared, reports, start = {}, [], 0
-    while start < len(states):
-        rules, stop = needs[start], start + 1
-        while stop < len(states):
-            wider = rules + needs[stop]
-            if 24 * len(wider) * max((r.size + 2 for r in wider), default=0) ** 2 > PASS_BYTES:
-                break
-            rules, stop = wider, stop + 1
-        rules = list(dict.fromkeys(rules))
+    tol, checks, start = tolerances or VerifyTolerances(), {}, 0
+    solves = _plan(params, consts, states, grid)
+    while start < len(solves):
+        stop = start + 1
+        while stop < len(solves) and 24 * (stop + 1 - start) * max(
+                rule.size + 2 for rule, _ in solves[start:stop + 1]) ** 2 <= PASS_BYTES:
+            stop += 1
+        rules = list(dict.fromkeys(rule for rule, _ in solves[start:stop]))
         bases = dict(zip(rules, _bases(rules)))
-        reports += [verify_state(params, consts, q, tolerances, grid=grid, run=run,
-                                 energy_offset=energy_offset, shared=shared, bases=bases)
-                    for q, run in zip(states[start:stop], runs[start:stop])]
+        for rule, run in solves[start:stop]:
+            checks.update(_radial_checks(params, consts, run, tol, grid, energy_offset, bases)
+                          if rule.radial else
+                          _angular_checks(params, consts, run[0], tol, grid, bases))
         start = stop
-    return reports
+    return [verify_state(params, consts, q, checks=checks) for q in states]
 
 
-def _angular_checks(params, consts, q, tol, grid, bases) -> tuple:
-    """The angular_lambda and angular_wavefunction checks of q's (n, m)."""
-    eff = spectrum.energy(params, consts, q).eff
+def _angular_checks(params, consts, entry, tol, grid, bases) -> dict:
+    """(n, m) -> the angular_lambda and angular_wavefunction checks of entry's (n, m)."""
+    q, eff = entry.quantum, entry.eff
     ang = angular_eigen(q.m, params.beta, consts, grid, q.n + 1, bases=bases)
     lam_num = float(ang.eigenvalues[q.n])
     state = wavefunctions.angular_state(q.n, eff.m_prime, params.D)
     distance = ang.distance(q.n, *wavefunctions.log_angular_H(state, ang.nodes))
-    return (_check("angular_lambda", lam_num, eff.Lambda, abs(lam_num - eff.Lambda),
-                   tol.lambda_abs, float(ang.est_error[q.n])),
-            _check("angular_wavefunction", distance, 0.0, distance, tol.state_abs))
+    return {(q.n, q.m): (
+        _check("angular_lambda", lam_num, eff.Lambda, abs(lam_num - eff.Lambda),
+               tol.lambda_abs, float(ang.est_error[q.n])),
+        _check("angular_wavefunction", distance, 0.0, distance, tol.state_abs))}
 
 
-def _radial_checks(params, consts, q, run, tol, grid, energy_offset, bases) -> dict:
-    """N -> the radial_energy and radial_wavefunction checks of (N, q.n, q.m)
-    for every N of ``run``, from one solve sized for the last."""
-    entries = [spectrum.energy(params, consts, spectrum.QuantumNumbers(N, q.n, q.m))
-               for N in run]
-    eff = entries[0].eff
-    rad = radial_eigen(eff.alpha, eff.gamma, grid, run[-1] + 1, bases=bases)
+def _radial_checks(params, consts, run, tol, grid, energy_offset, bases) -> dict:
+    """q -> the radial_energy and radial_wavefunction checks of each entry of
+    ``run``, the entries of one (n, m) in ascending N, from one solve sized for
+    the last."""
+    eff = run[0].eff
+    rad = radial_eigen(eff.alpha, eff.gamma, grid, run[-1].quantum.N + 1, bases=bases)
     log_liouville = 0.5 * (params.D - 1) * np.log(rad.nodes)   # g = r^((D-1)/2) R
     checks = {}
-    for N, entry in zip(run, entries):
+    for entry in run:
+        N = entry.quantum.N
         E_num = params.c + consts.hbar**2 * float(rad.eigenvalues[N]) / (2.0 * consts.mu)
         E_target = entry.E + energy_offset
         scale = max(abs(E_target), abs(E_target - params.c))
         sign, log_R = wavefunctions.log_radial_R(
             wavefunctions.radial_state_of(entry, params.D), rad.nodes)
         distance = rad.distance(N, sign, log_R + log_liouville)
-        checks[N] = (
+        checks[entry.quantum] = (
             _check("radial_energy", E_num, E_target, abs(E_num - E_target),
                    tol.energy_rel * scale,
                    float(rad.est_error[N]) * consts.hbar**2 / (2.0 * consts.mu)),
@@ -497,8 +501,7 @@ def verify_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalCons
                  q: spectrum.QuantumNumbers,
                  tolerances: VerifyTolerances | None = None, *,
                  grid: GridSpec = GridSpec(), energy_offset: float = 0.0,
-                 run=(), shared: dict | None = None,
-                 bases: dict | None = None) -> VerificationReport:
+                 checks: dict | None = None) -> VerificationReport:
     """Cross-check one closed-form state against the spectral solvers.
 
     Runs the angular solver to confirm Lambda and the radial solver (fed the
@@ -507,19 +510,11 @@ def verify_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalCons
     included, through the distance ||c - v|| of :meth:`GridEigenResult.distance`.
     ``energy_offset`` shifts the closed-form energy before comparison and
     exists for negative controls; the wavefunction checks do not read it.
-    ``run`` lists N values that share q's radial solve; it is sized for the
-    highest of them and q.N, and checks them all.  ``shared`` maps (n, m) to
-    the angular checks and (n, m, k_states) to the radial checks read from the
-    solve of that size, for states verified with the same arguments but N, and
-    gains what it lacks.  ``bases`` is as for :func:`radial_eigen`.
+    ``checks`` holds the checks :func:`verify_states` computed for q among
+    others; given it, this assembles q's report and solves nothing.
     """
-    tol = tolerances or VerifyTolerances()
-    shared = {} if shared is None else shared
-    if (q.n, q.m) not in shared:
-        shared[q.n, q.m] = _angular_checks(params, consts, q, tol, grid, bases)
-    radial = shared.setdefault((q.n, q.m, max([q.N, *run]) + 1), {})
-    if q.N not in radial:
-        radial.update(_radial_checks(params, consts, q, sorted({q.N, *run}), tol, grid,
-                                     energy_offset, bases))
-    lam_check, angular_check = shared[q.n, q.m]
-    return VerificationReport(checks=[lam_check, *radial[q.N], angular_check])
+    if checks is None:
+        return verify_states(params, consts, [q], tolerances, grid=grid,
+                             energy_offset=energy_offset)[0]
+    lam_check, angular_check = checks[q.n, q.m]
+    return VerificationReport(checks=[lam_check, *checks[q], angular_check])

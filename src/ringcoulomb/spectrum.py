@@ -106,7 +106,7 @@ class EffectiveIndices:
     m_prime: float
     ell_prime: float
     Lambda: float      # separation constant l(l + D - 2)
-    nu_tilde: float    # (M-1)(M-3)/4 via the identity 4*nu_t + 1 = (D-2)^2 + 4*Lambda
+    nu_tilde: float    # from the identity 4*nu_t + 1 = (D-2)^2 + 4*Lambda
     gamma: float
     alpha: float
     L: float           # radial power index
@@ -147,9 +147,9 @@ def separation_constant(lp: float, D: int, beta: float, consts: PhysicalConstant
 def radial_params(params: PotentialParams, consts: PhysicalConstants, Lambda: float):
     """Coulomb strength alpha and centrifugal strength gamma for a given Lambda.
 
-    Returns ``(alpha, gamma, nu_tilde, M)``.  nu_tilde comes from the identity
+    Returns ``(alpha, gamma, nu_tilde)``.  nu_tilde comes from the identity
     4*nu_t + 1 = (D-2)^2 + 4*Lambda, so it stays real even when the auxiliary
-    index l solving l(l+D-2) = Lambda is complex (M is then nan).
+    index l solving l(l+D-2) = Lambda is complex.
     """
     mu, hbar = consts.mu, consts.hbar
     D = params.D
@@ -158,9 +158,7 @@ def radial_params(params: PotentialParams, consts: PhysicalConstants, Lambda: fl
     alpha = 2.0 * mu * params.a / hbar**2
     if 4.0 * gamma + 1.0 < 0.0:
         raise FallToCenter("4*gamma + 1 = %r < 0" % (4.0 * gamma + 1.0))
-    disc = 0.25 * (D - 2) ** 2 + Lambda
-    ell = -0.5 * (D - 2) + math.sqrt(disc) if disc >= 0 else math.nan
-    return alpha, gamma, nu_t, D + 2.0 * ell
+    return alpha, gamma, nu_t
 
 
 def effective_indices(params: PotentialParams, consts: PhysicalConstants,
@@ -177,7 +175,7 @@ def effective_indices(params: PotentialParams, consts: PhysicalConstants,
     if abs(Lambda) < 8.0 * 2.0**-52 * lp * (lp + D - 2.0):
         raise OutOfRange("Lambda = %r: 2*mu*beta/hbar^2 cancels every digit of "
                          "l'(l'+D-2) = %r" % (Lambda, lp * (lp + D - 2.0)))
-    alpha, gamma, nu_t, _ = radial_params(params, consts, Lambda)
+    alpha, gamma, nu_t = radial_params(params, consts, Lambda)
     # radial power index; its radicand equals 4*gamma + 1 but is grouped
     # through l' and (b - beta), which is the independent arithmetic path
     # used by the Coulombic energy form

@@ -256,6 +256,36 @@ class TestVerify:
         assert captured.err == ("error: N: radial index N = 725 needs 1507 basis "
                                 "functions, more than the cap of 1500\n")
 
+    def test_basis_cap_names_the_run_solve(self, capsys):
+        # N = 18..34 at s = 44721 is one run, solved for N = 34; the cap once
+        # read s from a solve set up for N = 0 and named that N
+        assert run(["verify", "--a", "2", "--b", "1e9", "--beta", "1000", "--D", "2",
+                    "--N", "18..34", "--n", "2", "--m", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: N: radial index N = 34 needs 2893 basis "
+                                "functions, more than the cap of 1500\n")
+
+    def test_basis_cap_reports_the_radial_then_the_polar_solve(self, capsys):
+        assert run(["verify", "--a", "1.2", "--points", "64", "--levels", "2",
+                    "--N", "0..23", "--n", "0..54"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: N: radial index N = 23 needs 66 basis functions, more than the cap of 64\n"
+            "error: n: polar index n = 54 needs 65 basis functions, more than the cap of 64\n")
+
+    def test_one_plan_per_verify(self, monkeypatch, capsys):
+        plans, plan = [], oracle._plan
+
+        def counted(*args):
+            plans.append(args)
+            return plan(*args)
+
+        monkeypatch.setattr(oracle, "_plan", counted)
+        assert run(["verify", "--a", "1", "--N", "0..2", "--n", "0..1", "--m", "0..1"]) == 0
+        assert len(plans) == 1 and len(plans[0][2]) == 12
+
     def test_sweep_mode_merges_sorted(self, tmp_path):
         out = tmp_path / "verify.json"
         assert run(["verify", "--a", "1", "--N", "0..1", "--format", "json",

@@ -204,18 +204,20 @@ class TestBatchedBases:
         monkeypatch.setattr(oracle, "_bases", counted)
         reports = oracle.verify_states(params, CONSTS, states)
         assert len(passes) > 1 and sum(passes) == rules
-        # each state reads its run's solve, bit for bit as a lone solve of that size
-        shared, alone = {}, []
+        # each state reads its run's solve, bit for bit as when its run is verified alone
+        alone = {}
         for q in states:
             eff = spectrum.effective_indices(params, CONSTS, q)
-            k = oracle._run_sizes(range(40), oracle._radial_setup(eff.alpha, eff.gamma,
-                                                                  GRID, 1)[0])[q.N]
-            alone.append(oracle.verify_state(params, CONSTS, q, run=range(k), shared=shared))
-        assert reports == alone
+            sizes = oracle._run_sizes(range(40), eff.L + 1.0)    # s = L + 1
+            run = [spectrum.QuantumNumbers(N, q.n, q.m)
+                   for N in range(40) if sizes[N] == sizes[q.N]]
+            if q not in alone:
+                alone.update(zip(run, oracle.verify_states(params, CONSTS, run)))
+        assert reports == [alone[q] for q in states]
 
     def test_errors_surface_in_state_order(self, monkeypatch):
-        # the second state has no solve at this grid; when the first state's
-        # solve fails too, its error comes first, as from a loop of verify_state
+        # the second state has no solve at this grid; the first state's solve
+        # would fail too, but every solve is planned, and sized, before any runs
         grid = GridSpec(n_points=64, refinement_levels=2)
         params = spectrum.PotentialParams(a=1.0)
         states = [spectrum.QuantumNumbers(0, 0, 0), spectrum.QuantumNumbers(30, 0, 0)]
@@ -226,22 +228,43 @@ class TestBatchedBases:
             raise oracle.GridOutOfRange("the first state's solve")
 
         monkeypatch.setattr(oracle, "radial_eigen", failing)
-        with pytest.raises(oracle.GridOutOfRange, match="the first state's solve"):
+        with pytest.raises(BasisSizeError, match="radial index N = 30"):
             oracle.verify_states(params, CONSTS, states, grid=grid)
 
 
-    def test_a_run_too_large_to_solve_defers_to_the_states_before_its_top(self):
+    def test_one_error_names_the_first_radial_and_polar_solve_past_cap(self):
         # N = 20 and 23 of (0, 0) make one run, whose solve at k_states = 24 this
-        # grid cannot hold; N = 20 alone fits, so the polar n = 60 of the state
-        # between them raises first, as from a loop of verify_state
+        # grid cannot hold, though N = 20 alone fits; the error names the run's
+        # top N and its size, then the polar n = 60 of the state between them
         grid = GridSpec(n_points=64, refinement_levels=2)
         params = spectrum.PotentialParams(a=1.0)
         states = [spectrum.QuantumNumbers(20, 0, 0), spectrum.QuantumNumbers(0, 60, 0),
-                  spectrum.QuantumNumbers(23, 0, 0)]
-        with pytest.raises(BasisSizeError, match="polar index n = 60"):
+                  spectrum.QuantumNumbers(23, 0, 0), spectrum.QuantumNumbers(0, 61, 0)]
+        with pytest.raises(BasisSizeError) as caught:
             oracle.verify_states(params, CONSTS, states, grid=grid)
-        with pytest.raises(BasisSizeError, match="radial index N = 23"):
+        assert caught.value.args == (
+            "radial index N = 23 needs 66 basis functions, more than the cap of 64",
+            "polar index n = 60 needs 71 basis functions, more than the cap of 64")
+        assert str(caught.value) == "; ".join(caught.value.args)
+        with pytest.raises(BasisSizeError, match="^radial index N = 23 [^;]*$"):
             oracle.verify_states(params, CONSTS, states[::2], grid=grid)
+
+    def test_planning_errors_raise_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        for name in ("_bases", "radial_eigen", "angular_eigen"):
+            monkeypatch.setattr(oracle, name, no_solve)
+        grid = GridSpec(n_points=64, refinement_levels=2)
+        states = [spectrum.QuantumNumbers(0, 0, 0), spectrum.QuantumNumbers(0, 60, 0)]
+        with pytest.raises(BasisSizeError, match="polar index n = 60"):
+            oracle.verify_states(spectrum.PotentialParams(a=1.0), CONSTS, states, grid=grid)
+        # alpha = 1e162: the solve for N = 9 has h^2 = 6.4e-323, but N = 0, a
+        # run of its own (RUN_RATIO), has h^2 = 6.4e-325, which rounds to 0
+        tiny_hbar = spectrum.PhysicalConstants(hbar=1e-100)
+        states = [spectrum.QuantumNumbers(9, 0, 0), spectrum.QuantumNumbers(0, 0, 0)]
+        with pytest.raises(oracle.GridOutOfRange, match="h = 8.0+1e-163 squared underflows"):
+            oracle.verify_states(spectrum.PotentialParams(a=5e-39), tiny_hbar, states)
 
 
 class TestGridSpec:
@@ -261,10 +284,11 @@ class TestGridSpec:
     ])
     def test_largest_basis_meets_the_cap(self, solver, first):
         sizes = getattr(GridSpec(n_points=100, refinement_levels=3), solver + "_sizes")
+        s = (1.0,) if solver == "radial" else ()      # int(s / 16) = 0 more functions
         fits = max(k for k in range(1, 101) if first(k) + 20 <= 100)
-        assert sizes(fits) == [first(fits), first(fits) + 10, first(fits) + 20]
+        assert sizes(fits, *s) == [first(fits), first(fits) + 10, first(fits) + 20]
         with pytest.raises(BasisSizeError, match="more than the cap of 100"):
-            sizes(fits + 1)
+            sizes(fits + 1, *s)
 
 
 class TestGridOutOfRange:
@@ -385,8 +409,8 @@ class TestVerifyState:
         # a closed form 1e-3 off in Lambda, ten times the default tolerance
         energy = spectrum.energy
 
-        def shifted(params, consts, q):
-            entry = energy(params, consts, q)
+        def shifted(params, consts, q, eff=None):
+            entry = energy(params, consts, q, eff)
             eff = dataclasses.replace(entry.eff, Lambda=entry.eff.Lambda + 1e-3)
             return dataclasses.replace(entry, eff=eff)
 
@@ -424,12 +448,13 @@ class TestVerifyStates:
               for N, n, m in itertools.product(range(3), range(2), range(2))]
 
     def test_reports_equal_the_per_state_reports(self):
-        # N = 0..2 of each (n, m) read one radial solve at k_states = 3, so a
-        # state verified alone at that size gets the same report; at its own
-        # size, only the radial values and estimates move, by rounding
+        # N = 0..2 of each (n, m) read one radial solve at k_states = 3, so the
+        # states of that run verified alone get the same reports; a state at
+        # its own size moves only its radial values and estimates, by rounding
         reports = oracle.verify_states(self.PARAMS, CONSTS, self.STATES)
-        assert reports == [oracle.verify_state(self.PARAMS, CONSTS, q, run=range(3))
-                           for q in self.STATES]
+        assert reports == [oracle.verify_states(self.PARAMS, CONSTS, [
+            spectrum.QuantumNumbers(N, q.n, q.m) for N in range(3)])[q.N]
+            for q in self.STATES]
         for report, q in zip(reports, self.STATES):
             for got, want in zip(report.checks,
                                  oracle.verify_state(self.PARAMS, CONSTS, q).checks):

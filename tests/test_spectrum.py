@@ -112,20 +112,19 @@ class TestRadialParams:
     def test_textbook_coulomb(self):
         params = PotentialParams(a=1.0, b=0.0, c=0.0, beta=0.0, D=3)
         for ell in range(4):
-            alpha, gamma, _, _ = spectrum.radial_params(params, CONSTS,
-                                                        float(ell * (ell + 1)))
+            alpha, gamma, _ = spectrum.radial_params(params, CONSTS,
+                                                     float(ell * (ell + 1)))
             assert alpha == pytest.approx(2.0)
             assert gamma == pytest.approx(ell * (ell + 1))
 
     def test_five_dimensions_s_wave(self):
         params = PotentialParams(a=1.0, b=0.0, c=0.0, beta=0.0, D=5)
-        _, _, nu_t, M = spectrum.radial_params(params, CONSTS, 0.0)
-        assert M == pytest.approx(5.0)
+        _, _, nu_t = spectrum.radial_params(params, CONSTS, 0.0)
         assert nu_t == pytest.approx(2.0)
 
     def test_inverse_square_strength(self):
         params = PotentialParams(a=1.0, b=1.0, c=0.0, beta=0.0, D=3)
-        _, gamma, _, _ = spectrum.radial_params(params, CONSTS, 0.0)
+        _, gamma, _ = spectrum.radial_params(params, CONSTS, 0.0)
         assert gamma == pytest.approx(2.0)
 
     def test_fall_to_center(self):
@@ -135,8 +134,8 @@ class TestRadialParams:
 
     def test_complex_ell_reported_as_nan(self):
         params = PotentialParams(a=1.0, b=1.0, c=0.0, beta=0.0, D=3)
-        _, _, nu_t, M = spectrum.radial_params(params, CONSTS, -0.3)
-        assert math.isnan(M) and math.isfinite(nu_t)
+        _, _, nu_t = spectrum.radial_params(params, CONSTS, -0.3)
+        assert math.isfinite(nu_t)
 
 
 class TestEnergy:
