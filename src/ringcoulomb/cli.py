@@ -27,7 +27,6 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__, oracle, spectrum, wavefunctions
-from .quadrature import decay_cutoff
 
 
 class ConfigError(Exception):
@@ -374,10 +373,7 @@ def _cmd_wavefunction(cfg: dict, problems: list) -> int:
 
     state = wavefunctions.bound_state(params, consts,
                                       spectrum.QuantumNumbers(N=N, n=n, m=m))
-    if r_max is None:
-        r_max = decay_cutoff(state.radial.envelope_power, 2.0 * state.radial.epsilon,
-                             drop=1e-12)
-    r_max = float(r_max)
+    r_max = float(state.radial.support(1e-10) if r_max is None else r_max)
     r_grid = np.linspace(0.0, r_max, nr)
     theta_grid = np.linspace(0.0, math.pi, ntheta)
 
@@ -385,8 +381,8 @@ def _cmd_wavefunction(cfg: dict, problems: list) -> int:
     meta = {"command": "wavefunction", **meta_phys, "N": N, "n": n, "m": m,
             "E": state.entry.E, "epsilon": state.entry.epsilon,
             "m_prime": eff.m_prime, "ell_prime": eff.ell_prime, "L": eff.L,
-            "N_prime": state.entry.N_prime, "C": state.radial.C,
-            "angular_norm": state.angular.norm,
+            "N_prime": state.entry.N_prime, "log_C": state.radial.log_C,
+            "log_angular_norm": state.angular.log_norm,
             "angular_norm_adjusted": str(state.angular.adjusted).lower(),
             "nr": nr, "ntheta": ntheta, "r_max": r_max,
             "density": "abs(psi)^2 * r^(D-1) * sin(theta)"}

@@ -296,8 +296,9 @@ def radial_eigen(alpha: float, gamma: float, grid: GridSpec,
     u = s * p - 0.5 * x * p + x * dp    # x^(1-s) e^(x/2) d/dx of a basis function
     matrix = u @ u.T + (p * (gamma - alpha * h * x)) @ p.T
     # a function g of r = h x has the coefficients p (sqrt(w h) g(h x) x^(2-s) e^(x/2))
-    return _levels(matrix / (h * h), sizes, k_states, h * x, p,
-                   log_sqrt_w + 0.5 * math.log(h) + (2.0 - s) * np.log(x) + 0.5 * x)
+    with np.errstate(over="ignore"):    # _levels reports an overflow
+        return _levels(matrix / (h * h), sizes, k_states, h * x, p,
+                       log_sqrt_w + 0.5 * math.log(h) + (2.0 - s) * np.log(x) + 0.5 * x)
 
 
 def _angular_setup(m, beta, consts, grid, k_states):

@@ -8,20 +8,22 @@ normalized against the r**(D-1) measure, with
 
     C = sqrt((2*eps)**(2L+3) * N! / (2 (N+L+1) (N+2L+1)!))
 
-where factorials of non-integer argument are read as Gamma(x+1) and computed
-in the log domain.  The angular factor is
+where factorials of non-integer argument are read as Gamma(x+1).  The angular
+factor is
 
-    H(theta) = norm * sin(theta)**m' * P_n^(m',m')(cos(theta))
+    H(theta) = h_n**(-1/2) * sin(theta)**m' * P_n^(m',m')(cos(theta))
 
-normalized by h_n^(-1/2), h_n the closed-form sin(theta)-weighted norm of its
-shape (DLMF 18.3).  The textbook prefactor sqrt((2l'+1)(l'-m')! / (2 (l'+m')!))
-only normalizes the m' in {0, 1} family; the state keeps it as a diagnostic,
-with the norm it would give and whether that misses 1 by more than
-NORM_CHECK_TOL.  Quadrature serves only as a reference.
+with h_n the closed-form sin(theta)-weighted norm of its shape (DLMF 18.3).
+The textbook prefactor sqrt((2l'+1)(l'-m')! / (2 (l'+m')!)) only normalizes
+the m' in {0, 1} family; the state keeps it as a diagnostic, with the norm it
+would give and whether that misses 1 by more than NORM_CHECK_TOL.  Quadrature
+serves only as a reference.
 
-Both factors are evaluated in the log domain (:func:`log_radial_R`,
-:func:`log_angular_H`) and exponentiated once per sample, so that a C that
-underflows or a polynomial that overflows costs no representable value.
+The states carry log C and -log(h_n)/2, never C or h_n: both leave the float
+range at valid quantum numbers.  Both factors are evaluated in the log domain
+(:func:`log_radial_R`, :func:`log_angular_H`) and exponentiated once per
+sample, so that a constant or a polynomial beyond a float costs no
+representable value.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectrum
+from . import quadrature, spectrum
 from .special import jacobi, laguerre, log_power, log_sin_power
 
 #: relative misnormalization of the textbook angular prefactor above which a
@@ -55,35 +57,34 @@ def log_normalization_C(N: int, L: float, epsilon: float) -> float:
                   - math.lgamma(N + 2.0 * L + 2.0))
 
 
-def _exp(x: float, what: str) -> float:
-    """exp(x), or OutOfRange where it overflows a float (or x is nan)."""
-    try:
-        value = math.exp(x)
-    except OverflowError:
-        value = math.inf
-    if not value < math.inf:
-        raise spectrum.OutOfRange("%s = exp(%r) overflows a float" % (what, x))
-    return value
-
-
-def normalization_C(N: int, L: float, epsilon: float) -> float:
-    """Radial normalization constant C = exp(log_normalization_C)."""
-    return _exp(log_normalization_C(N, L, epsilon), "C")
-
-
 @dataclass(frozen=True)
 class RadialState:
     N: int
     L: float
     epsilon: float
     D: int
-    C: float
+    log_C: float
 
-    @property
-    def envelope_power(self) -> float:
-        """Power p of the large-r envelope r^p exp(-2 eps r) of R^2 r^(D-1),
-        which sets the decay-rule cutoff radius."""
-        return 2.0 * self.L + 2.0 + 2.0 * self.N
+    def support(self, share: float) -> float:
+        """Radius beyond which R^2 r^(D-1) holds less than share of the norm.
+
+        Past 2 eps r = x0, above every zero of L_N^(2L+1) (Szegő, §6.31), the
+        log of R^2 r^(D-1) is concave: its tail past a mesh point is at most
+        its value there over minus the slope of the log before it.  The older
+        rule, the envelope r^(2N+2L+2) exp(-2 eps r) at share/100 of its peak,
+        keeps small-N grids as they were; alone it cuts half the norm at N = 100.
+        """
+        rate, alpha = 2.0 * self.epsilon, 2.0 * self.L + 1.0
+        b = 2.0 * self.N + alpha + 1.0
+        x0 = b + math.sqrt(max(b * b + 0.25 - alpha * alpha, 0.0))
+        r = (x0 + (1.0 + math.sqrt(x0)) * 2.0 ** np.arange(0.0, 16.0, 1.0 / 32.0)) / rate
+        with np.errstate(all="ignore"):
+            log_f = 2.0 * log_radial_R(self, r)[1] + (self.D - 1) * np.log(r)
+            fits = log_f[1:] - np.log(np.diff(log_f) / -np.diff(r)) <= math.log(share)
+        fits[-1] = True     # the farthest point stands in if none fits
+        return max(quadrature.decay_cutoff(2.0 * self.L + 2.0 + 2.0 * self.N, rate,
+                                           drop=share / 100.0),
+                   float(r[1:][np.argmax(fits)]))
 
 
 def radial_state_of(entry: spectrum.SpectrumEntry, D: int) -> RadialState:
@@ -92,7 +93,7 @@ def radial_state_of(entry: spectrum.SpectrumEntry, D: int) -> RadialState:
     if not entry.epsilon > 0.0:
         raise spectrum.OutOfRange("epsilon = %r: the decay rate underflows" % entry.epsilon)
     return RadialState(N=N, L=L, epsilon=entry.epsilon, D=D,
-                       C=normalization_C(N, L, entry.epsilon))
+                       log_C=log_normalization_C(N, L, entry.epsilon))
 
 
 def radial_state(params: spectrum.PotentialParams, consts: spectrum.PhysicalConstants,
@@ -104,8 +105,8 @@ def log_radial_R(state: RadialState, r):
     """(sign, log|R(r)|) = log C + expo log r - eps r + log|L_N^(2L+1)(2 eps r)|,
     expo = L - (D-3)/2, with r**0 = 1 at r = 0; r may be a scalar or ndarray."""
     sign, log_poly = laguerre(state.N, 2.0 * state.L + 1.0, 2.0 * state.epsilon * r)
-    log_C = log_normalization_C(state.N, state.L, state.epsilon)
-    return sign, log_C + log_power(r, state.L - 0.5 * (state.D - 3)) - state.epsilon * r + log_poly
+    return sign, (state.log_C + log_power(r, state.L - 0.5 * (state.D - 3))
+                  - state.epsilon * r + log_poly)
 
 
 def radial_R(state: RadialState, r):
@@ -125,7 +126,7 @@ class AngularState:
     n: int
     m_prime: float
     ell_prime: float
-    norm: float
+    log_norm: float         # -log(h_n) / 2
     printed_norm: float     # the analytic prefactor, nan when undefined
     printed_integral: float  # what the sin-weighted norm would be with it
     adjusted: bool
@@ -167,28 +168,28 @@ def angular_state(n: int, mp: float, D: int = 3) -> AngularState:
     if mp < 0:
         raise ValueError("m_prime must be nonnegative")
     lp = spectrum.ell_prime(n, mp, D)
-    shape = _exp(log_jacobi_norm(n, mp), "h_n")
+    log_norm = -0.5 * log_jacobi_norm(n, mp)
     if lp - mp > -1.0:
-        printed = math.exp(0.5 * (
-            math.log(2.0 * lp + 1.0) + math.lgamma(lp - mp + 1.0)
-            - math.log(2.0) - math.lgamma(lp + mp + 1.0)))
-        printed_integral = printed * printed * shape
+        log_printed = 0.5 * (math.log(2.0 * lp + 1.0) + math.lgamma(lp - mp + 1.0)
+                             - math.log(2.0) - math.lgamma(lp + mp + 1.0))
+        printed = math.exp(log_printed)
+        printed_integral = math.exp(2.0 * (log_printed - log_norm))
     else:
         # Gamma(l'-m'+1) is at a pole or negative; the printed constant is
         # meaningless here and only the closed-form norm can normalize
         printed = math.nan
         printed_integral = math.nan
     adjusted = not abs(printed_integral - 1.0) <= NORM_CHECK_TOL
-    return AngularState(n=n, m_prime=mp, ell_prime=lp, norm=1.0 / math.sqrt(shape),
+    return AngularState(n=n, m_prime=mp, ell_prime=lp, log_norm=log_norm,
                         printed_norm=printed, printed_integral=printed_integral,
                         adjusted=adjusted)
 
 
 def log_angular_H(state: AngularState, theta):
-    """(sign, log|H(theta)|) = log norm + m' log sin(theta) + log|P_n^(m',m')(cos theta)|,
+    """(sign, log|H(theta)|) = -log(h_n)/2 + m' log sin(theta) + log|P_n^(m',m')(cos theta)|,
     with sin**0 = 1 at the poles; theta may be a scalar or ndarray."""
     sign, log_poly = jacobi(state.n, state.m_prime, state.m_prime, np.cos(theta))
-    return sign, math.log(state.norm) + log_sin_power(theta, state.m_prime) + log_poly
+    return sign, state.log_norm + log_sin_power(theta, state.m_prime) + log_poly
 
 
 def angular_H(state: AngularState, theta):

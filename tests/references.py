@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ringcoulomb import quadrature, special, wavefunctions
+from ringcoulomb import special, wavefunctions
 from ringcoulomb.spectrum import (
     PhysicalConstants,
     PotentialParams,
@@ -107,8 +107,8 @@ def epsilon_coulombic_form(params: PotentialParams, consts: PhysicalConstants,
 
 
 def radial_norm_integral(state: RadialState, *, tol=1e-10) -> QuadResult:
-    """Quadrature of R^2 r^(D-1) over (0, r_max) with the decay-rule cutoff."""
-    r_max = quadrature.decay_cutoff(state.envelope_power, 2.0 * state.epsilon)
+    """Quadrature of R^2 r^(D-1) over (0, r_max), r_max holding all but 1e-16."""
+    r_max = state.support(1e-16)
 
     def integrand(r):
         R = radial_R(state, r)

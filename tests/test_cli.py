@@ -445,10 +445,9 @@ class TestBadInput:
 
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--a", "1e308"], "alpha = inf"),
-        (["wavefunction", "--a", "1e300", "--b", "1e300"], "C = exp("),
-        # for n >> m'^2, h_n approaches 2^(2m'+1) / (2n), beyond a float at m' = 447
-        (["wavefunction", "--beta", "2e5", "--n", "10000", "--nr", "3", "--ntheta", "3"],
-         "h_n = exp("),
+        (["wavefunction", "--a", "1e-300", "--b", "1e100"], "decay rate underflows"),
+        (["verify", "--a", "7.199197521694224", "--hbar", "1e-80", "--N", "4..6",
+          "--levels", "2"], "basis matrix has entries outside the float range"),
         # E = c - 2 mu a^2 / (hbar^2 den^2) stays finite, but the decay rate
         # 2 mu a / (hbar^2 den) = 1e200 makes the grid step square to zero
         (["verify", "--hbar", "1e-100", "--points", "64", "--levels", "2"],
@@ -468,6 +467,36 @@ class TestBadInput:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, err
+
+    def test_radial_matrix_overflow_is_one_error_line(self, capsys):
+        # matrix / h^2 overflows; _levels reports it, and numpy does not warn first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify", "--a", "7.199197521694224", "--hbar", "1e-80",
+                        "--N", "4..6", "--levels", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: the basis matrix has entries outside the float range\n")
+
+    @pytest.mark.parametrize("argv", [
+        # h_n = exp(855.6)
+        ["wavefunction", "--n", "1000", "--m", "1000"],
+        # C and h_n beyond a float ended these in "C = exp(" and "h_n = exp("
+        # errors while the states carried them as floats; for n >> m'^2, h_n
+        # approaches 2^(2m'+1) / (2n)
+        ["wavefunction", "--a", "1e300", "--b", "1e300"],
+        ["wavefunction", "--beta", "2e5", "--n", "10000"],
+    ])
+    def test_constants_beyond_a_float_evaluate(self, argv, capsys):
+        code = run(argv + ["--nr", "3", "--ntheta", "3"])
+        err = capsys.readouterr().err
+        assert code == 0 or code == 2 and err.startswith("error: state: "), err
+        assert "exp(" not in err
+
+    def test_verify_passes_where_C_overflows_a_float(self, capsys):
+        # C = exp(1034.7); the checks read log C
+        assert run(["verify", "--a", "1e8", "--m", "100", "--format", "csv"]) == 0
+        _, rows = load_table(capsys.readouterr().out)
+        assert [row["status"] for row in rows] == ["pass"] * 4
 
     @pytest.mark.parametrize("command, config, field", [
         ("spectrum", {"a": "x"}, "a"),

@@ -8,12 +8,16 @@ outputs run through libm and LAPACK, whose last digits may differ on another
 platform, in which case regenerate the files there from a commit known to be
 right before using them as a guard.
 
-Regenerate with ``PYTHONPATH=src python tests/test_golden.py``.
+Regenerate with ``PYTHONPATH=src python tests/test_golden.py``.  For each file
+it rewrites, it prints the number of changed lines and the largest relative
+change of a numeric cell among lines whose other cells are unchanged, and
+counts apart the lines that change in more than their numbers.
 """
 
 import contextlib
 import io
 import pathlib
+import re
 import sys
 
 import pytest
@@ -76,8 +80,41 @@ def test_stdout_matches_golden(name):
     assert stdout_of(INVOCATIONS[name]) == (GOLDEN_DIR / name).read_bytes()
 
 
+def _cells(line: str) -> list:
+    """The cells of a CSV, JSON or meta line, numbers as floats."""
+    cells = []
+    for cell in re.split(r'[\s,:="{}\[\]]+', line):
+        try:
+            cells.append(float(cell))
+        except ValueError:
+            cells.append(cell)
+    return cells
+
+
+def moved(old: bytes, new: bytes) -> str:
+    """What changed from old to new: changed lines, the largest relative
+    change of a numeric cell, and the lines that change in more than numbers."""
+    old_lines, new_lines = old.decode().splitlines(), new.decode().splitlines()
+    changed = [(_cells(a), _cells(b)) for a, b in zip(old_lines, new_lines) if a != b]
+    count = len(changed) + abs(len(old_lines) - len(new_lines))
+    if not count:
+        return "unchanged"
+    worst, other = 0.0, count - len(changed)
+    for a, b in changed:
+        if [x if isinstance(x, str) else None for x in a] != [
+                y if isinstance(y, str) else None for y in b]:
+            other += 1
+        else:
+            worst = max([worst] + [abs(x - y) / max(abs(x), abs(y))
+                                   for x, y in zip(a, b) if x != y])
+    return ("%d lines changed, largest relative change %.2g, %d changed in more than "
+            "numbers" % (count, worst, other))
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name, argv in INVOCATIONS.items():
-        (GOLDEN_DIR / name).write_bytes(stdout_of(argv))
-        print("wrote", GOLDEN_DIR / name, file=sys.stderr)
+        path = GOLDEN_DIR / name
+        old = path.read_bytes() if path.exists() else b""
+        path.write_bytes(stdout_of(argv))
+        print("wrote %s: %s" % (path, moved(old, path.read_bytes())), file=sys.stderr)

@@ -375,7 +375,7 @@ class TestVerifyState:
 
     @pytest.mark.parametrize("field", ["epsilon", "L"])
     def test_wrong_radial_shape_fails_only_the_radial_wavefunction(self, monkeypatch, field):
-        # a decay rate or an index 1e-4 off, with the normalization that fits it
+        # a decay rate or an index 1e-4 off; the state keeps the log C of the right one
         radial_state_of = wavefunctions.radial_state_of
 
         def shifted(entry, D):

@@ -4,6 +4,7 @@ import cmath
 import contextlib
 import io
 import math
+import re
 import sys
 
 import mpmath
@@ -35,11 +36,11 @@ def shape_norm_by_quadrature(n: int, mp: float) -> float:
 
 class TestNormalizationConstant:
     def test_hydrogen_value(self):
-        assert wf.normalization_C(0, 0.0, 1.0) == pytest.approx(2.0, rel=1e-14)
+        assert math.exp(wf.log_normalization_C(0, 0.0, 1.0)) == pytest.approx(2.0, rel=1e-14)
 
     def test_scaled_decay(self):
-        assert wf.normalization_C(0, 0.0, 2.0) == pytest.approx(math.sqrt(32.0),
-                                                                rel=1e-14)
+        assert math.exp(wf.log_normalization_C(0, 0.0, 2.0)) == pytest.approx(
+            math.sqrt(32.0), rel=1e-14)
 
     def test_epsilon_scaling_law(self):
         rng = np.random.default_rng(2)
@@ -47,23 +48,22 @@ class TestNormalizationConstant:
             N = int(rng.integers(0, 5))
             L = rng.uniform(-0.4, 3.0)
             eps = rng.uniform(0.2, 4.0)
-            want = eps ** (L + 1.5) * wf.normalization_C(N, L, 1.0)
-            assert wf.normalization_C(N, L, eps) == pytest.approx(want, rel=1e-12)
+            want = (L + 1.5) * math.log(eps) + wf.log_normalization_C(N, L, 1.0)
+            # C to 1e-12 relative is log C to 1e-12 absolute
+            assert wf.log_normalization_C(N, L, eps) == pytest.approx(want, abs=1e-12)
 
     def test_input_guards(self):
         with pytest.raises(ValueError):
-            wf.normalization_C(-1, 0.0, 1.0)
+            wf.log_normalization_C(-1, 0.0, 1.0)
         with pytest.raises(ValueError):
-            wf.normalization_C(0, -1.0, 1.0)
+            wf.log_normalization_C(0, -1.0, 1.0)
         with pytest.raises(ValueError):
-            wf.normalization_C(0, 0.0, 0.0)
+            wf.log_normalization_C(0, 0.0, 0.0)
 
     def test_overflow(self):
-        # log C is fine, but C itself overflows; a C that underflows to 0
-        # stays a float, and the CLI's density check reports it
-        with pytest.raises(spectrum.OutOfRange, match="C = exp"):
-            wf.normalization_C(0, 1e3, 1e300)
-        assert wf.normalization_C(0, 1e3, 1e-300) == 0.0
+        # C itself overflows or underflows a float here; log C does neither
+        for eps in (1e300, 1e-300):
+            assert math.isfinite(wf.log_normalization_C(0, 1e3, eps))
 
     def test_underflowed_decay_rate(self):
         entry = spectrum.energy(spectrum.PotentialParams(a=1e-300, b=1e100),
@@ -74,8 +74,8 @@ class TestNormalizationConstant:
 
     @mpmath.workdps(50)
     def test_against_mpmath(self):
-        # C**2 = (2 eps)**(2L+3) N! / (2 (N+L+1) Gamma(N+2L+2)), compared
-        # where C is a normal float (subnormal C loses digits)
+        # C**2 = (2 eps)**(2L+3) N! / (2 (N+L+1) Gamma(N+2L+2)), compared as
+        # C where C is a normal float, as in every case before there was log C
         compared = 0
         for N in (0, 1, 5, 50, 150, 400):
             for L in (-0.45, 0.0, 0.7, 3.2, 20.0, 150.2):
@@ -86,8 +86,8 @@ class TestNormalizationConstant:
                         / (2 * (Nm + Lm + 1) * mpmath.gamma(Nm + 2 * Lm + 2)))
                     if not sys.float_info.min <= want <= sys.float_info.max:
                         continue
-                    assert wf.normalization_C(N, L, eps) == pytest.approx(float(want),
-                                                                          rel=1e-11)
+                    got = math.exp(wf.log_normalization_C(N, L, eps))
+                    assert got == pytest.approx(float(want), rel=1e-11)
                     compared += 1
         assert compared > 100
 
@@ -100,7 +100,7 @@ class TestRadial:
 
     def test_origin_vanishes_for_positive_power(self):
         state = wf.RadialState(N=0, L=1.0, epsilon=1.0, D=3,
-                               C=wf.normalization_C(0, 1.0, 1.0))
+                               log_C=wf.log_normalization_C(0, 1.0, 1.0))
         assert wf.radial_R(state, 0.0) == 0.0
 
     def test_unit_norm_random_states(self):
@@ -111,9 +111,55 @@ class TestRadial:
             D = int(rng.integers(2, 7))
             eps = rng.uniform(0.3, 3.0)
             state = wf.RadialState(N=N, L=L, epsilon=eps, D=D,
-                                   C=wf.normalization_C(N, L, eps))
+                                   log_C=wf.log_normalization_C(N, L, eps))
             res = references.radial_norm_integral(state)
             assert res.value == pytest.approx(1.0, abs=1e-8)
+
+
+class TestSupport:
+    """RadialState.support, the wavefunction grid's default r_max."""
+
+    @staticmethod
+    def tail(state: wf.RadialState, r_max: float, tol: float) -> float:
+        """The norm of R^2 r^(D-1) beyond r_max."""
+        def density(r):
+            return np.exp(2.0 * wf.log_radial_R(state, r)[1] + (state.D - 1) * np.log(r))
+
+        # past 4 r_max the decaying density holds nothing that counts here
+        assert density(4.0 * r_max) * r_max < 1e-30
+        return references.integrate(density, r_max, 4.0 * r_max, tol=tol).value
+
+    @pytest.mark.parametrize("N", [10, 50, 100, 200, 400])
+    def test_default_r_max_holds_the_state(self, N):
+        # the envelope rule alone left 1.6e-9 of the norm out at N = 10, and
+        # 0.197, 0.536, 0.651 and 0.712 at N = 50 .. 400
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["wavefunction", "--a", "1", "--N", str(N),
+                             "--nr", "2", "--ntheta", "2"]) == 0
+        r_max = float(re.search(r"^# r_max=(.*)$", out.getvalue(), re.M).group(1))
+        state = wf.radial_state(spectrum.PotentialParams(a=1.0), CONSTS,
+                                spectrum.QuantumNumbers(N, 0, 0))
+        assert 0.0 < self.tail(state, r_max, 1e-13) <= 1e-10
+
+    @pytest.mark.parametrize("N, L", [(0, 0.0), (3, 0.4), (10, 2.0), (40, 7.5), (150, 30.0)])
+    def test_tail_within_the_share(self, N, L):
+        state = wf.RadialState(N=N, L=L, epsilon=0.6, D=4,
+                               log_C=wf.log_normalization_C(N, L, 0.6))
+        for share in (1e-6, 1e-10, 1e-14):
+            assert self.tail(state, state.support(share), 1e-3 * share) <= share
+
+    def test_small_N_keeps_the_envelope_rule(self):
+        # byte-identical grids for N <= 2, which every golden file and the
+        # density benchmark use
+        for N in range(3):
+            for L in (-0.45, 0.0, 0.7, 2.2, 5.0, 12.0, 40.0, 100.0):
+                for eps, D in ((0.1, 2), (0.9, 3), (7.0, 5)):
+                    state = wf.RadialState(N=N, L=L, epsilon=eps, D=D,
+                                           log_C=wf.log_normalization_C(N, L, eps))
+                    want = quadrature.decay_cutoff(2.0 * L + 2.0 + 2.0 * N, 2.0 * eps,
+                                                   drop=1e-12)
+                    assert state.support(1e-10) == want, (N, L, eps, D)
 
 
 class TestAngular:
@@ -175,7 +221,7 @@ class TestAngular:
                                 (0, 2.0, True)):
             state = wf.angular_state(n, mp, 3)
             assert state.adjusted is adjusted
-            assert state.norm == 1.0 / math.sqrt(math.exp(wf.log_jacobi_norm(n, mp)))
+            assert state.log_norm == -0.5 * wf.log_jacobi_norm(n, mp)
 
     def test_every_state_is_unit_normalized(self):
         rng = np.random.default_rng(13)
@@ -307,8 +353,7 @@ class TestTotalPsi:
         w_theta = 0.5 * math.pi * weights
         for params, q in cases:
             state = wf.bound_state(params, CONSTS, q)
-            envelope = 2.0 * state.radial.L + 2.0 + 2.0 * q.N
-            r_max = quadrature.decay_cutoff(envelope, 2.0 * state.radial.epsilon)
+            r_max = state.radial.support(1e-16)
 
             def theta_integrated(r_values):
                 out = np.empty_like(r_values)
@@ -354,21 +399,32 @@ def mp_density_factors(state: wf.BoundState, r: float, theta: float) -> tuple:
 
 
 class TestLargeQuantumNumbers:
-    """C underflows, or the Laguerre recurrence overflows, at these valid
-    states; the log-domain kernels keep every density that a float can hold."""
+    """C underflows or overflows, h_n overflows, or the Laguerre recurrence
+    overflows, at these valid states; the log-domain kernels keep every
+    density that a float can hold."""
 
-    @pytest.mark.parametrize("N, n, m", [(0, 150, 0), (0, 0, 300), (60, 60, 60), (400, 0, 0)])
+    @pytest.mark.parametrize("a, N, n, m, least", [
+        pytest.param(1.0, 0, 150, 0, 900, id="0-150-0"),
+        pytest.param(1.0, 0, 0, 300, 900, id="0-0-300"),
+        pytest.param(1.0, 60, 60, 60, 900, id="60-60-60"),
+        pytest.param(1.0, 400, 0, 0, 900, id="400-0-0"),
+        # C = exp(1034.7)
+        pytest.param(1e8, 0, 0, 100, 900, id="a1e8-0-0-100"),
+        # the smallest n = m with h_n = exp(709.9) past a float; sin^(2m'+1)
+        # leaves about half of the polar samples in the float range
+        pytest.param(1.0, 0, 831, 831, 600, id="0-831-831"),
+    ])
     @mpmath.workdps(50)
-    def test_cli_density_against_mpmath(self, N, n, m):
+    def test_cli_density_against_mpmath(self, a, N, n, m, least):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = cli.main(["wavefunction", "--a", "1", "--beta", "1", "--N", str(N),
+            code = cli.main(["wavefunction", "--a", repr(a), "--beta", "1", "--N", str(N),
                              "--n", str(n), "--m", str(m), "--nr", "50", "--ntheta", "30"])
         assert code == 0
         rows = [tuple(map(float, line.split(","))) for line in out.getvalue().splitlines()
                 if line and line[0].isdigit()]
         assert len(rows) == 1500 and all(math.isfinite(d) for _, _, d in rows)
-        state = wf.bound_state(spectrum.PotentialParams(a=1.0, beta=1.0), CONSTS,
+        state = wf.bound_state(spectrum.PotentialParams(a=a, beta=1.0), CONSTS,
                                spectrum.QuantumNumbers(N, n, m))
         radial = {r: mp_density_factors(state, r, 1.0)[0] for r, _, _ in rows[::30]}
         # the mesh's ends are the poles, where H takes sin(pi - theta) = 0
@@ -380,4 +436,4 @@ class TestLargeQuantumNumbers:
                 if sys.float_info.min <= want <= sys.float_info.max:
                     assert abs(density - want) <= 1e-10 * want, (r, theta)
                     compared += 1
-        assert compared > 900
+        assert compared > least
