@@ -302,13 +302,14 @@ def _cmd_spectrum(cfg: dict, problems: list) -> int:
     # the indices of a state other than N and N' depend on (n, m) alone, so a
     # block of states sharing (n, m) computes them once and renders them once,
     # into its own template (a rendered cell is a number, never holding a '%');
-    # an empty N range has no state to compute them for
+    # an empty N range has no state to compute them for.  Both cell renderers
+    # write an int N and energy()'s finite floats as %d and %r do
     ok = cell("ok")
     rows = []
+    QuantumNumbers = spectrum.QuantumNumbers
     for n, m in itertools.product(ns, ms) if Ns else ():
         try:
-            eff = spectrum.effective_indices(params, consts,
-                                             spectrum.QuantumNumbers(N=Ns[0], n=n, m=m))
+            eff = spectrum.effective_indices(params, consts, QuantumNumbers(Ns[0], n, m))
         except spectrum.FallToCenter:
             rows.extend((True, 0.0, N, n, m,
                          template % tuple(map(cell, (N, n, m, None, None, None, None,
@@ -316,12 +317,11 @@ def _cmd_spectrum(cfg: dict, problems: list) -> int:
                         for N in Ns)
             continue
         block_template = template % (
-            "%s", *map(cell, (n, m, eff.m_prime, eff.ell_prime, eff.L)), "%s", "%s", "%s", ok)
+            "%d", *map(cell, (n, m, eff.m_prime, eff.ell_prime, eff.L)), "%r", "%r", "%r", ok)
         for N in Ns:
-            entry = spectrum.energy(params, consts, spectrum.QuantumNumbers(N=N, n=n, m=m), eff)
-            text = block_template % (cell(N), cell(entry.N_prime), cell(entry.epsilon),
-                                     cell(entry.E))
-            rows.append((False, entry.E, N, n, m, text))
+            entry = spectrum.energy(params, consts, QuantumNumbers(N, n, m), eff)
+            rows.append((False, entry.E, N, n, m, block_template
+                         % (N, entry.N_prime, entry.epsilon, entry.E)))
     # by E, with fall-to-center rows last; (N, n, m) settles every tie, so
     # the rendered text is never compared
     rows.sort()

@@ -93,10 +93,11 @@ class QuantumNumbers:
     m: int
 
     def __post_init__(self):
-        for name in ("N", "n", "m"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise ValueError("%s must be a nonnegative integer" % name)
+        N, n, m = self.N, self.n, self.m
+        if not (isinstance(N, int) and isinstance(n, int) and isinstance(m, int)
+                and N >= 0 and n >= 0 and m >= 0):
+            name = next(k for k, v in zip("Nnm", (N, n, m)) if not isinstance(v, int) or v < 0)
+            raise ValueError("%s must be a nonnegative integer" % name)
 
 
 @dataclass(frozen=True)
@@ -213,9 +214,8 @@ def energy(params: PotentialParams, consts: PhysicalConstants,
     E = params.c - consts.hbar**2 * eps * eps / (2.0 * consts.mu)
     if not math.isfinite(E):
         raise OutOfRange("E = %r: outside the float range" % E)
-    return SpectrumEntry(
-        E=E, epsilon=eps, quantum=q, eff=eff, N_prime=principal_number(q.N, eff),
-        domain_extension=params.domain_extension or eff.domain_extension)
+    return SpectrumEntry(E, eps, q, eff, principal_number(q.N, eff),
+                         params.domain_extension or eff.domain_extension)
 
 
 def energy_coulombic_form(params: PotentialParams, consts: PhysicalConstants,

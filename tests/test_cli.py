@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -128,6 +129,53 @@ class TestSpectrum:
         _, rows = load_table(capsys.readouterr().out)
         assert calls == {"effective_indices": blocks, "energy": states}
         assert len(rows) == states
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("flags, ranges, forced_n", [
+        ({"a": 1e150}, ((0, 2), (0, 1), (0, 1)), None),           # E about -5e299
+        ({"a": 1.3, "b": 0.4, "c": -0.25, "beta": 0.7, "D": 4}, ((0, 3), (0, 2), (0, 2)), None),
+        ({"a": 1.0}, ((0, 0), (0, 1), (0, 0)), 1),                # a forced fall-to-center block
+        ({"a": 1.0}, ((2, 1), (0, 1), (0, 2)), None),             # an empty N range
+    ])
+    def test_rows_match_per_state_energies_through_table(self, fmt, flags, ranges, forced_n,
+                                                          monkeypatch, capsys):
+        # the expected text renders each state's energy() through the generic
+        # cell renderers, which the CLI's block template must reproduce
+        if forced_n is not None:
+            real_indices = spectrum.effective_indices
+
+            def fake_indices(params, consts, q):
+                if q.n == forced_n:
+                    raise spectrum.FallToCenter("forced")
+                return real_indices(params, consts, q)
+            monkeypatch.setattr(cli.spectrum, "effective_indices", fake_indices)
+        texts = {key: "%d..%d" % r for key, r in zip("Nnm", ranges)}
+        argv = ["spectrum", "--format", fmt]
+        for key, value in [*flags.items(), *texts.items()]:
+            argv += ["--" + key, str(value)]
+        assert run(argv) == 0
+
+        physics = {"a": 1.0, "b": 0.0, "c": 0.0, "beta": 0.0, "D": 3, **flags}
+        params = spectrum.PotentialParams(**physics)
+        consts = spectrum.PhysicalConstants()
+        keyed = []
+        for N, n, m in itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)):
+            q = spectrum.QuantumNumbers(N, n, m)
+            try:
+                entry = spectrum.energy(params, consts, q)
+            except spectrum.FallToCenter:
+                keyed.append(((True, 0.0, N, n, m),
+                              (N, n, m, None, None, None, None, None, None, "fall-to-center")))
+                continue
+            assert all(type(x) is float for x in (entry.E, entry.epsilon, entry.N_prime))
+            eff = entry.eff
+            keyed.append(((False, entry.E, N, n, m),
+                          (N, n, m, eff.m_prime, eff.ell_prime, eff.L, entry.N_prime,
+                           entry.epsilon, entry.E, "ok")))
+        meta = {"command": "spectrum", **physics, "mu": 1.0, "hbar": 1.0, **texts}
+        expected = cli._table(fmt, meta, cli._SPECTRUM_COLUMNS,
+                              [row for _, row in sorted(keyed)])
+        assert capsys.readouterr().out == expected
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -359,6 +407,18 @@ class TestTableWriter:
     def test_empty_json_table(self):
         expected = json.dumps({"meta": self.META, "checks": []}, indent=2) + "\n"
         assert cli._table("json", self.META, self.COLUMNS, [], key="checks") == expected
+
+    # the spectrum table's block template writes N with %d and the floats of
+    # energy() with %r; both must render as the two cell renderers do
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_percent_r_renders_a_finite_float_as_the_cells_do(self, x):
+        assert "%r" % x == cli._fmt(x) == cli._json_value(x)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(min_value=0))
+    def test_percent_d_renders_a_nonnegative_int_as_the_cells_do(self, N):
+        assert "%d" % N == cli._fmt(N) == cli._json_value(N)
 
     def test_csv_rows_go_through_fmt(self):
         rows = [(None, "ok"), (3, np.float64(0.25)), (math.nan, -0.0)]

@@ -56,3 +56,11 @@ def test_energy_forms_agree(p, k, q):
     entry = spectrum.energy(p, k, q)
     coulombic = spectrum.energy_coulombic_form(p, k, q)
     assert abs(entry.E - coulombic) <= 1e-12 * max(abs(entry.E), abs(entry.E - p.c))
+
+
+@examples
+@given(params, consts, quantum)
+def test_energy_returns_python_floats(p, k, q):
+    # the CLI writes these with %r, which prints a numpy scalar as np.float64(...)
+    entry = spectrum.energy(p, k, q)
+    assert all(type(x) is float for x in (entry.E, entry.epsilon, entry.N_prime))

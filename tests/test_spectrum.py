@@ -358,6 +358,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             QuantumNumbers(-1, 0, 0)
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, "0", None])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_quantum_numbers_name_the_first_failing_field(self, index, bad):
+        # the fields before `index` are valid, and the ones after it fail too
+        values = [0] * index + [bad] + [-2, None][:2 - index]
+        with pytest.raises(ValueError, match="^%s must be a nonnegative integer$"
+                                             % "Nnm"[index]):
+            QuantumNumbers(*values)
+
+    def test_quantum_numbers_accept_a_bool(self):
+        # bool is an int subclass, and the check has always been isinstance
+        assert QuantumNumbers(True, 0, 0).N is True
+
     def test_constants_positive(self):
         with pytest.raises(ValueError):
             PhysicalConstants(mu=0.0)
@@ -402,6 +415,27 @@ class TestOutOfRange:
         # alpha and epsilon are finite, but hbar^2 eps^2 / (2 mu) overflows
         with pytest.raises(spectrum.OutOfRange, match="E = -inf"):
             spectrum.energy(PotentialParams(a=a), CONSTS, QuantumNumbers(0, 0, 0))
+
+    @staticmethod
+    def _lambda_ulps(beta):
+        """|Lambda| at a = 1, D = 3, n = m = 0 in ulps of l'(l'+1)."""
+        lp = spectrum.ell_prime(0, spectrum.m_prime(0, beta, CONSTS), 3)
+        Lambda = spectrum.separation_constant(lp, 3, beta, CONSTS)
+        return abs(Lambda) / (2.0**-52 * lp * (lp + 1.0))
+
+    def test_lambda_within_eight_ulps_raises(self):
+        beta = 1.995262314968883e29     # 10^29.3
+        assert 2.0 < self._lambda_ulps(beta) < 8.0      # about 7.1
+        with pytest.raises(spectrum.OutOfRange, match="cancels every digit"):
+            spectrum.effective_indices(PotentialParams(a=1.0, beta=beta), CONSTS,
+                                       QuantumNumbers(0, 0, 0))
+
+    def test_lambda_beyond_eight_ulps_is_kept(self):
+        beta = 3.1622776601683795e28    # 10^28.5
+        assert 8.0 < self._lambda_ulps(beta) < 30.0     # about 18.2
+        eff = spectrum.effective_indices(PotentialParams(a=1.0, beta=beta), CONSTS,
+                                         QuantumNumbers(0, 0, 0))
+        assert eff.Lambda > 0.0
 
     def test_a_zero_still_has_indices(self):
         eff = spectrum.effective_indices(PotentialParams(a=0.0), CONSTS, QuantumNumbers(0, 1, 0))
